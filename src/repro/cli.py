@@ -831,7 +831,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "speedscope":
         payload = obs.speedscope_document(records, name=args.path)
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
+            handle.write(json.dumps(payload, separators=(",", ":")))
         print(
             f"wrote {len(payload['profiles'])} profile(s), "
             f"{len(payload['shared']['frames'])} frames to {args.out} "
@@ -840,7 +840,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
     payload = obs.chrome_trace(records)
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
+        handle.write(json.dumps(payload, separators=(",", ":")))
     print(
         f"wrote {len(payload['traceEvents'])} events to {args.out} "
         "(load in chrome://tracing or https://ui.perfetto.dev)"

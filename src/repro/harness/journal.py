@@ -114,7 +114,10 @@ class JournalWriter:
         *,
         wall_seconds: float = 0.0,
     ) -> None:
-        """Journal one completed unit (immediately durable)."""
+        """Journal one completed unit.
+
+        Flushed to the OS on every append (not fsynced).
+        """
         self._write_line(
             {
                 "type": "unit",

@@ -63,21 +63,16 @@ def keyword_matching_messages(
     messages: list[MailMessage],
     matcher: KeywordMatcher,
     *,
-    index: TextIndex[int] | None = None,
+    index: TextIndex[int],
 ) -> list[MailMessage]:
     """Messages whose subject+body match ``matcher``, in archive order.
 
-    With a positional ``index``, the inverted index narrows the archive
-    to candidate positions first and only candidates are regex-confirmed
-    -- the confirm step guarantees the hit set equals the linear scan's
-    even where tokenization is looser than regex word boundaries (the
-    index splits ``my_race`` into ``my``/``race``; ``\\b`` does not).
+    The positional ``index`` narrows the archive to candidate positions
+    first and only candidates are regex-confirmed -- the confirm step
+    guarantees the hit set equals a linear scan's even where
+    tokenization is looser than regex word boundaries (the index splits
+    ``my_race`` into ``my``/``race``; ``\\b`` does not).
     """
-    if index is None:
-        return [
-            message for message in messages
-            if matcher.matches(message_search_text(message))
-        ]
     candidates = index.search_any(matcher.keywords)
     return [
         message
@@ -141,15 +136,18 @@ def mine_mysql(
     keywords: tuple[str, ...] = MYSQL_STUDY_KEYWORDS,
     deduplicator: Deduplicator | None = None,
     index: TextIndex[int] | None = None,
-    use_index: bool = True,
+    threads: list[Thread] | None = None,
 ) -> MiningResult[BugReport]:
     """Narrow a raw mailing-list archive to the unique study bugs.
 
-    The keyword stage is index-backed by default: an inverted
+    The keyword stage is index-backed: an inverted
     :class:`~repro.bugdb.textindex.TextIndex` prefilters the archive to
     candidate messages, and only candidates are confirmed against the
-    compiled matcher, so the hit set is identical to a linear scan (the
-    linear path is kept as the verification oracle in the tests).
+    compiled matcher, so the hit set is identical to a linear scan.
+
+    Neither the index nor the threads depend on ``keywords``, so callers
+    mining one archive several times (the keyword ablations) build both
+    once and pass them in.
 
     Args:
         messages: the parsed mbox archive.
@@ -158,23 +156,23 @@ def mine_mysql(
         index: prebuilt positional index over ``messages`` (as built by
             :func:`build_message_index`, possibly merged from parallel
             shards); built here when omitted.
-        use_index: set False to force the linear reference scan.
+        threads: prebuilt ``group_threads(messages)``; grouped here when
+            omitted.
     """
     dedup = deduplicator or Deduplicator()
     matcher = KeywordMatcher(keywords)
     trace = NarrowingTrace()
     trace.record("raw messages", len(messages))
 
-    if index is None and use_index:
+    if index is None:
         index = build_message_index(messages)
-    matching = keyword_matching_messages(
-        messages, matcher, index=index if use_index else None
-    )
+    matching = keyword_matching_messages(messages, matcher, index=index)
     trace.record("keyword-matching messages", len(matching))
 
-    # Threads are rebuilt over the *full* archive so replies that matched
+    # Threads are grouped over the *full* archive so replies that matched
     # a keyword still attach to their (non-matching) root.
-    threads = group_threads(messages)
+    if threads is None:
+        threads = group_threads(messages)
     trace.record("threads", len(threads))
 
     matching_ids = {message.message_id for message in matching}

@@ -10,18 +10,28 @@ plus the Section 6 mining ablations (keyword subsets over the parsed
 MySQL archive, dedup strategies over the parsed Apache archive).  All
 payloads use the :mod:`repro.pipeline` record codecs, so graph entries
 and the fast-archive-path cache speak the same JSON.
+
+``mined.mysql`` and the three ``ablate.keywords.*`` nodes share one
+decode, index and thread grouping of ``parsed.mysql`` per wave (none
+depends on the keywords) through ``StudyContext.derived`` -- not a graph
+node, which would serialize the decoded archive into the memo cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Mapping, TYPE_CHECKING
 
 from repro.analysis.tables import classify_and_tabulate
 from repro.bugdb.enums import Application
+from repro.bugdb.mbox import MailMessage
+from repro.bugdb.textindex import TextIndex
 from repro.mining.apache import mine_apache
 from repro.mining.dedup import Deduplicator
 from repro.mining.funnel import funnel_from_trace
-from repro.mining.mysql import mine_mysql
+from repro.mining.mysql import build_message_index, mine_mysql
+from repro.mining.pipeline import MiningResult
+from repro.mining.threads import Thread, group_threads
 from repro.pipeline import records as _records
 from repro.pipeline.formats import format_for
 from repro.reports.tableformat import format_table, render_classification_table
@@ -75,6 +85,30 @@ def _decode_records(application: Application, parsed: Mapping[str, Any]) -> list
     return [fmt.record_from_dict(data) for data in parsed["records"]]
 
 
+@dataclasses.dataclass(frozen=True)
+class MysqlMiningInputs:
+    """The keyword-independent inputs every MySQL miner run needs."""
+
+    messages: list[MailMessage]
+    index: TextIndex[int]
+    threads: list[Thread]
+
+    @classmethod
+    def from_parsed(cls, parsed: Mapping[str, Any]) -> "MysqlMiningInputs":
+        messages = _decode_records(Application.MYSQL, parsed)
+        return cls(messages, build_message_index(messages), group_threads(messages))
+
+
+def _mine_parsed_mysql(
+    ctx: "StudyContext", parsed: Mapping[str, Any], **kwargs: Any
+) -> MiningResult:
+    """``mine_mysql`` over ``parsed`` with the wave's shared inputs."""
+    shared = ctx.derived("mysql-mining-inputs", parsed, MysqlMiningInputs.from_parsed)
+    return mine_mysql(
+        shared.messages, index=shared.index, threads=shared.threads, **kwargs
+    )
+
+
 def mined_result(
     ctx: "StudyContext", inputs: Mapping[str, Any], params: Mapping[str, Any]
 ) -> dict[str, Any]:
@@ -85,8 +119,11 @@ def mined_result(
     """
     application = Application(params["application"])
     fmt = format_for(application)
-    records = _decode_records(application, _single_input(inputs))
-    result = fmt.mine(records, None)
+    parsed = _single_input(inputs)
+    if application is Application.MYSQL:
+        result = _mine_parsed_mysql(ctx, parsed)
+    else:
+        result = fmt.mine(_decode_records(application, parsed), None)
     payload = _records.result_to_payload(result, fmt.item_to_dict)
     payload["application"] = application.value
     payload["miner_version"] = fmt.miner_version
@@ -170,10 +207,7 @@ def ablate_keywords(
         keywords: comma-joined keyword subset (order preserved).
     """
     keywords = tuple(params["keywords"].split(","))
-    messages = _decode_records(
-        Application.MYSQL, _single_input(inputs)
-    )
-    result = mine_mysql(messages, keywords=keywords)
+    result = _mine_parsed_mysql(ctx, _single_input(inputs), keywords=keywords)
     recall = len(result.items) / 44
     text = format_table(
         ["quantity", "value"],

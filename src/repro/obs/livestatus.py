@@ -67,7 +67,7 @@ def write_snapshot(path: str | Path, payload: Mapping[str, Any]) -> None:
     )
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, separators=(",", ":"), sort_keys=True)
+            stream.write(json.dumps(payload, separators=(",", ":"), sort_keys=True))
         os.replace(temp_name, path)
     except BaseException:
         try:

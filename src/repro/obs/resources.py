@@ -362,7 +362,7 @@ class ResourceSampler:
         self._thread = None
         if _ACTIVE_SAMPLER is self:
             _ACTIVE_SAMPLER = None
-        self._sample_once()  # a final reading so even short runs get one
+        self.sample_now()  # a final reading so even short runs get one
 
     def __enter__(self) -> "ResourceSampler":
         return self.start()
@@ -375,9 +375,15 @@ class ResourceSampler:
 
     def _run(self) -> None:
         while not self._stop_event.wait(self.interval):
-            self._sample_once()
+            self.sample_now()
 
-    def _sample_once(self) -> None:
+    def sample_now(self) -> None:
+        """Take one sample immediately (the loop's tick, callable directly).
+
+        Lets a caller pin a reading inside a window shorter than the
+        interval -- deterministic tests tick the sampler instead of
+        waiting for the thread to land inside the window.
+        """
         try:
             self._sample_pid(self._pid, attribute=self.attribute)
             if self.include_children:

@@ -113,8 +113,9 @@ class ParseMineCache:
                 dir=path.parent, prefix=path.name, suffix=".tmp"
             )
             try:
+                # dumps, not dump: only dumps takes the C encoder.
                 with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                    json.dump(payload, stream, separators=(",", ":"))
+                    stream.write(json.dumps(payload, separators=(",", ":")))
                 os.replace(temp_name, path)
             except BaseException:
                 try:

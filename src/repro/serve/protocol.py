@@ -156,6 +156,18 @@ def encode_line(message: Request | Response) -> bytes:
     return line
 
 
+def ok_line_bytes(response_id: str, payload_bytes: int) -> int:
+    """Encoded size of an ``ok`` response line, from its payload's size.
+
+    ``payload_bytes`` is the length of the payload's canonical JSON
+    (sorted keys, compact separators).  :func:`encode_line` sorts keys,
+    so that JSON sits verbatim between ``"id"`` and ``"status"``: a
+    server can refuse an oversize reply without encoding it twice.
+    """
+    envelope = encode_line(Response(id=response_id, status=STATUS_OK))
+    return len(envelope) + len(',"payload":') + payload_bytes
+
+
 def _decode_object(line: str | bytes) -> dict[str, Any]:
     if isinstance(line, bytes):
         if len(line) > MAX_LINE_BYTES:

@@ -53,12 +53,15 @@ from repro.serve.protocol import (
     KIND_STATUS,
     KIND_STUDY,
     KIND_TRACE_SUMMARY,
+    MAX_LINE_BYTES,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_REJECTED_BUSY,
     STATUS_SHUTTING_DOWN,
+    ProtocolError,
     Request,
     Response,
+    ok_line_bytes,
 )
 
 #: Request kinds whose responses are memoized (pure functions of the
@@ -312,7 +315,9 @@ class StudyService:
 
         Never raises for request-shaped problems: handler errors come
         back as ``status="error"`` responses, admission refusals as
-        ``rejected-busy`` / ``shutting-down``.
+        ``rejected-busy`` / ``shutting-down``.  A payload too large for
+        the wire's line limit is answered here as an ``error``, so the
+        transport can always encode the reply.
 
         Every path -- success, error, refusal -- records exactly one
         observation in :attr:`stats` (latency, admission wait, response
@@ -345,9 +350,16 @@ class StudyService:
             ) as span:
                 payload, memoized = self._dispatch(request)
                 span.set(memoized=memoized)
+            size = _payload_size(payload)
+            line_bytes = ok_line_bytes(request.id, size)
+            if line_bytes > MAX_LINE_BYTES:
+                raise ProtocolError(
+                    f"reply of {line_bytes} bytes is too large for the "
+                    f"{MAX_LINE_BYTES}-byte line limit"
+                )
             self._count("ok")
             status = STATUS_OK
-            payload_bytes = _payload_size(payload)
+            payload_bytes = size
             return Response(id=request.id, status=STATUS_OK, payload=payload)
         except Exception as exc:  # noqa: BLE001 -- a request must never kill the daemon
             self._count("errors")

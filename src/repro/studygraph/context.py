@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
 from repro.corpus.loader import StudyData, full_study
 from repro.harness.telemetry import Telemetry
 from repro.pipeline.cache import ParseMineCache
+
+_T = TypeVar("_T")
 
 
 @dataclasses.dataclass
@@ -33,12 +36,33 @@ class StudyContext:
         cache: content-addressed node memo store (None disables
             memoization entirely).
         telemetry: counters/timers accumulated across the run.
+
+    The scheduler hands producers a fresh context per wave, so anything
+    memoized through :meth:`derived` lives exactly as long as that wave.
     """
 
     study: StudyData
     workers: int = 1
     cache: ParseMineCache | None = None
     telemetry: Telemetry = dataclasses.field(default_factory=Telemetry)
+    _derived: dict[str, tuple[Any, Any]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def derived(self, name: str, source: Any, build: Callable[[Any], _T]) -> _T:
+        """``build(source)``, computed once per context and ``source`` object.
+
+        Lets several producers in one wave share an expensive derivation
+        of the same input payload (e.g. the decoded, indexed MySQL
+        archive).  The memo is keyed on ``source``'s identity and holds
+        ``source`` itself, so the identity can never be reused while the
+        entry exists; a different object under ``name`` replaces it.
+        """
+        entry = self._derived.get(name)
+        if entry is None or entry[0] is not source:
+            entry = (source, build(source))
+            self._derived[name] = entry
+        return entry[1]
 
     @classmethod
     def default(

@@ -38,9 +38,11 @@ from repro.scenarios import nodes as scenario_nodes
 from repro.studygraph.node import KIND_ARTIFACT, GridSpec, NodeSpec
 from repro.studygraph.registry import Registry
 
-#: MySQL keyword subsets for the Section 6 mining ablation.  Three (not
-#: one per prefix length) so the ablation wave packs evenly onto four
-#: workers alongside the other long-running nodes.
+#: MySQL keyword subsets for the Section 6 mining ablation.  Each subset
+#: is cheap on its own: the decoded archive, its index and its threads
+#: are built once per wave and shared with ``mined.mysql`` (see
+#: :mod:`repro.mining.nodes`), so a subset adds only its keyword filter,
+#: candidate extraction and dedup.
 KEYWORD_SUBSETS = {
     "crash": "crash",
     "crash-seg": "crash,segmentation",

@@ -188,7 +188,10 @@ def _make_store(
         inputs = {dep: store.get(dep) for dep in node.deps}
         context.telemetry.count("studygraph.payload_rebuilds")
         with obs.span(f"rebuild:{name}"):
-            return node.producer(context, inputs, node.params_dict())
+            # A copy: ``derived`` memos must not outlive this rebuild.
+            return node.producer(
+                dataclasses.replace(context), inputs, node.params_dict()
+            )
 
     store = ArtifactStore(loader=load)
     return store

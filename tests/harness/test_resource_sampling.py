@@ -40,6 +40,13 @@ def fast_runner(unit, context):
     return {"value": unit.seed * 2}
 
 
+def ticking_runner(unit, context):
+    """Ticks the active sampler inside the unit span, so attribution
+    never depends on the sampler thread landing inside a short unit."""
+    resources.active_sampler().sample_now()
+    return {"value": unit.seed * 2}
+
+
 def _units(count):
     return [WorkUnit.build("toy", f"F-{i}", seed=i) for i in range(count)]
 
@@ -47,11 +54,11 @@ def _units(count):
 @needs_proc
 class TestSerialSampling:
     def test_serial_campaign_emits_attributed_samples(self):
-        resources.configure(0.005)
+        resources.configure(60.0)  # the thread never fires; units tick
         sink = obs.MemorySink()
         telemetry = Telemetry()
         with obs.tracing(sink):
-            campaign = run_campaign(_units(4), busy_runner, telemetry=telemetry)
+            campaign = run_campaign(_units(4), ticking_runner, telemetry=telemetry)
         assert [r["value"] for r in campaign.results] == [0, 2, 4, 6]
         samples = resources.resource_records(sink.records)
         assert samples, "dispatcher sampler should emit records on the serial path"

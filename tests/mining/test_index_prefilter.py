@@ -1,10 +1,10 @@
 """Index-backed keyword prefilter vs. the linear-scan oracle.
 
 The MySQL miner narrows ~44,000 messages through keyword matching; the
-fast path prefilters through an inverted index before confirming with
-the same regex matcher.  The linear :class:`KeywordMatcher` scan is
-kept as the verification oracle: on the paper's full-scale archive both
-paths must select exactly the same messages and mine exactly the same
+miner prefilters through an inverted index before confirming with the
+same regex matcher.  A linear :class:`KeywordMatcher` scan, defined
+here, is the verification oracle: on the paper's full-scale archive
+both must select exactly the same messages and mine exactly the same
 bugs.  (The benchmark suite measures the speed; *this* test pins the
 equivalence.)
 """
@@ -15,13 +15,32 @@ import pytest
 
 from repro.bugdb import mbox
 from repro.corpus.render import mysql_raw_archive
-from repro.mining import mine_mysql
+from repro.mining import group_threads, mine_mysql
 from repro.mining.keywords import KeywordMatcher, MYSQL_STUDY_KEYWORDS
 from repro.mining.mysql import (
     build_message_index,
     keyword_matching_messages,
     message_search_text,
 )
+
+
+def linear_matching_messages(messages, matcher):
+    """The reference scan: every message, regex-matched, in archive order."""
+    return [
+        message for message in messages
+        if matcher.matches(message_search_text(message))
+    ]
+
+
+class EveryPosition:
+    """An "index" whose prefilter keeps every message, which turns the
+    miner's keyword stage into the linear reference scan."""
+
+    def __init__(self, messages):
+        self._positions = range(len(messages))
+
+    def search_any(self, keywords):
+        return self._positions
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +55,7 @@ class TestFullArchiveEquivalence:
 
     def test_index_hit_set_equals_linear_scan(self, full_scale_messages):
         matcher = KeywordMatcher(MYSQL_STUDY_KEYWORDS)
-        linear = keyword_matching_messages(full_scale_messages, matcher)
+        linear = linear_matching_messages(full_scale_messages, matcher)
         index = build_message_index(full_scale_messages)
         indexed = keyword_matching_messages(
             full_scale_messages, matcher, index=index
@@ -44,8 +63,10 @@ class TestFullArchiveEquivalence:
         assert indexed == linear
 
     def test_mining_with_and_without_index_is_identical(self, full_scale_messages):
-        with_index = mine_mysql(full_scale_messages, use_index=True)
-        without_index = mine_mysql(full_scale_messages, use_index=False)
+        with_index = mine_mysql(full_scale_messages)
+        without_index = mine_mysql(
+            full_scale_messages, index=EveryPosition(full_scale_messages)
+        )
         assert with_index.items == without_index.items
         assert with_index.trace.as_rows() == without_index.trace.as_rows()
         assert len(with_index.items) == 44
@@ -53,6 +74,15 @@ class TestFullArchiveEquivalence:
     def test_prebuilt_index_matches_internally_built_one(self, full_scale_messages):
         index = build_message_index(full_scale_messages)
         prebuilt = mine_mysql(full_scale_messages, index=index)
+        internal = mine_mysql(full_scale_messages)
+        assert prebuilt.items == internal.items
+        assert prebuilt.trace.as_rows() == internal.trace.as_rows()
+
+    def test_prebuilt_threads_match_internally_grouped_ones(
+        self, full_scale_messages
+    ):
+        threads = group_threads(full_scale_messages)
+        prebuilt = mine_mysql(full_scale_messages, threads=threads)
         internal = mine_mysql(full_scale_messages)
         assert prebuilt.items == internal.items
         assert prebuilt.trace.as_rows() == internal.trace.as_rows()
@@ -87,7 +117,7 @@ class TestPrefilterIsSuperset:
             )
         ]
         matcher = KeywordMatcher(MYSQL_STUDY_KEYWORDS)
-        linear = keyword_matching_messages(messages, matcher)
+        linear = linear_matching_messages(messages, matcher)
         indexed = keyword_matching_messages(
             messages, matcher, index=build_message_index(messages)
         )

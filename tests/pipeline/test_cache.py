@@ -41,6 +41,20 @@ class TestRoundTrip:
         ParseMineCache(tmp_path / "never-created")
         assert not (tmp_path / "never-created").exists()
 
+    def test_stored_bytes_are_compact_json_of_the_envelope(self, tmp_path):
+        cache = ParseMineCache(tmp_path)
+        digest = archive_digest("x")
+        data = {"records": [{"b": 1.5, "a": "café"}, None], "n": 3}
+        path = cache.store(digest, "parse.mysql.v1", data)
+        envelope = {
+            "cache_format": CACHE_FORMAT_VERSION,
+            "digest": digest,
+            "tag": "parse.mysql.v1",
+            "data": data,
+        }
+        expected = json.dumps(envelope, separators=(",", ":"))
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_store_leaves_no_temp_files(self, tmp_path):
         cache = ParseMineCache(tmp_path)
         cache.store(archive_digest("x"), "parse.mysql.v1", {})

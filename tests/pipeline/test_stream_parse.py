@@ -183,6 +183,20 @@ class TestMineArchiveFile:
         assert streamed.result.items == rendered.result.items
         assert (tmp_path / "idx" / "manifest.json").exists()
 
+    def test_rerun_over_one_index_dir_mines_the_same_bugs(self, tmp_path, archive_files):
+        # A second run without a cache re-parses and appends segments, so
+        # the index then holds ids up to twice the record count; ids with
+        # no message must be ignored, not looked up.
+        path, _ = archive_files[Application.MYSQL]
+        first = mine_archive_file(Application.MYSQL, path, index_dir=tmp_path / "idx")
+        second = mine_archive_file(Application.MYSQL, path, index_dir=tmp_path / "idx")
+        raw = first.result.trace.as_rows()[0]
+        assert raw[0] == "raw messages"
+        assert SegmentedTextIndex(tmp_path / "idx").document_count == 2 * raw[1]
+        assert len(first.result.items) == 44
+        assert second.result.items == first.result.items
+        assert second.result.trace.as_rows() == first.result.trace.as_rows()
+
     def test_file_digest_equals_text_digest(self, archive_files):
         path, text = archive_files[Application.MYSQL]
         assert archive_file_digest(path) == archive_digest(text)

@@ -15,6 +15,7 @@ from repro.serve.protocol import (
     decode_request,
     decode_response,
     encode_line,
+    ok_line_bytes,
 )
 
 
@@ -92,3 +93,12 @@ class TestResponseCodec:
     def test_empty_payload_omitted_on_wire(self):
         data = json.loads(encode_line(Response(id="x", status=STATUS_OK)))
         assert "payload" not in data and "error" not in data
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"n": 1}, {"z": [1, 2.5, None], "a": {"b": "caf\u00e9 \u2603"}}],
+    )
+    def test_ok_line_bytes_is_the_encoded_length(self, payload):
+        canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        line = encode_line(Response(id="r-7", status=STATUS_OK, payload=payload))
+        assert ok_line_bytes("r-7", len(canonical.encode("utf-8"))) == len(line)

@@ -25,7 +25,10 @@ from repro.serve import (
     status_path_for,
     wait_for_server,
 )
+from repro.obs.hist import exposition_value, parse_exposition
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    STATUS_ERROR,
     STATUS_REJECTED_BUSY,
     STATUS_SHUTTING_DOWN,
 )
@@ -126,6 +129,26 @@ class TestWireRequests:
         with ThreadPoolExecutor(max_workers=6) as pool:
             digests = set(pool.map(one_client, range(6)))
         assert len(digests) == 1
+
+    def test_oversize_reply_answers_error_and_counts_it(self, server):
+        server.service.register_handler(
+            "study", lambda request: {"blob": "x" * MAX_LINE_BYTES}
+        )
+        with ServeClient(server.socket_path) as client:
+            response = client.request("study", {"node": "huge"}, id="big-1")
+            assert response.status == STATUS_ERROR
+            assert response.id == "big-1"
+            assert "too large" in response.error
+            assert client.request("ping").ok  # same connection still serves
+            text = client.request("metrics").payload["text"]
+        samples = parse_exposition(text)
+        counts = {
+            status: exposition_value(
+                samples, "repro_requests_total", {"kind": "study", "status": status}
+            )
+            for status in ("ok", "error")
+        }
+        assert counts == {"ok": None, "error": 1}
 
     def test_quota_rejection_over_the_wire(self, sock_dir):
         service = StudyService(
