@@ -85,7 +85,7 @@ def test_bench_tracing_overhead(benchmark, tmp_path):
     )
 
     # The trace the overhead paid for must actually attribute the time.
-    records = obs.read_trace(trace_path)
+    records, _ = obs.read_trace(trace_path)
     summary = obs.summarize_trace(records)
     assert summary.root["name"] == "study.run"
     assert summary.coverage >= 0.95, (

@@ -18,9 +18,9 @@ import time
 import pytest
 
 from repro import obs
-from repro.harness import Telemetry, WorkUnit, run_campaign
+from repro.harness import WorkUnit, run_campaign
 from repro.harness.pool import fork_available
-from repro.obs import resources
+from repro.obs import MetricsRegistry, resources
 from repro.obs.resources import proc_available
 from repro.studygraph.artifact import artifact_digest
 
@@ -81,7 +81,7 @@ def test_bench_sampling_overhead(benchmark):
 
         resources.configure(SAMPLE_INTERVAL)
         sink = obs.MemorySink()
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         started = time.perf_counter()
         with obs.tracing(sink):
             on_campaign = run_campaign(

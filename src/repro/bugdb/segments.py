@@ -8,7 +8,8 @@ on-disk segments**, LSM-tree style:
 * Each parse shard writes one *write-ahead segment* — sorted
   ``token\\tid,id,...`` lines over the shard's **local** doc ids
   (0..n-1) — without knowing how many records earlier shards hold.
-* The **manifest** (``manifest.json``, replaced atomically) assigns
+* The **manifest** (``manifest.json``, replaced atomically by
+  :func:`repro.fileio.atomic_write`) assigns
   every segment a ``doc_base``; a segment's global ids are
   ``doc_base + local_id``.  Staged segments are committed in shard
   order with cumulative bases, so the segmented index is
@@ -39,6 +40,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
+
+from repro import fileio
 
 from .textindex import TextIndex
 
@@ -276,9 +279,7 @@ class SegmentedTextIndex:
             "next_segment_id": self._next_id,
             "segments": [info.to_dict() for info in self._segments],
         }
-        tmp = self._manifest_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        os.replace(tmp, self._manifest_path)
+        fileio.atomic_write(self._manifest_path, json.dumps(payload, indent=1))
 
     def _reader(self, info: SegmentInfo) -> _SegmentReader:
         reader = self._readers.get(info.name)

@@ -108,7 +108,7 @@ def _cmd_mine_app(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine_run(args: argparse.Namespace) -> int:
-    from repro.harness.telemetry import Telemetry
+    from repro.obs.metrics import MetricsRegistry
     from repro.pipeline import mine_application
     from repro.pipeline.cache import ParseMineCache
     from repro.pipeline.runner import mine_archive_file
@@ -137,7 +137,7 @@ def _cmd_mine_run(args: argparse.Namespace) -> int:
             max_shard_bytes=args.max_shard_bytes or DEFAULT_MAX_SHARD_BYTES,
             workers=args.workers,
             cache=cache,
-            telemetry=Telemetry(),
+            telemetry=MetricsRegistry(),
             index_dir=args.index_dir,
         )
     else:
@@ -152,7 +152,7 @@ def _cmd_mine_run(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
-            telemetry=Telemetry(),
+            telemetry=MetricsRegistry(),
         )
     print(
         format_table(
@@ -230,8 +230,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.corpus.loader import full_study
-    from repro.harness import ProgressReporter, Telemetry, load_journal
+    from repro.harness import ProgressReporter, load_journal
     from repro.harness.campaigns import KIND_REPLAY, run_replay_campaign
+    from repro.obs.metrics import MetricsRegistry
     from repro.rng import DEFAULT_SEED
 
     if args.workers < 1:
@@ -299,7 +300,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if limit is not None:
         faults = faults[: limit]
 
-    telemetry = Telemetry()
+    telemetry = MetricsRegistry()
     report = run_replay_campaign(
         faults,
         factory,
@@ -524,7 +525,8 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
     import contextlib
 
     from repro import obs
-    from repro.harness.telemetry import ProgressReporter, Telemetry
+    from repro.harness.telemetry import ProgressReporter
+    from repro.obs.metrics import MetricsRegistry
     from repro.studygraph import StudyContext, default_registry, run_study
     from repro.studygraph.registry import GraphError
 
@@ -532,7 +534,7 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
 
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
-    telemetry = Telemetry()
+    telemetry = MetricsRegistry()
     context = StudyContext.default(
         workers=args.workers,
         cache_dir=_study_cache_dir(args),
@@ -633,6 +635,24 @@ def _cmd_study_watch(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
+def _report_skipped(skipped: int) -> None:
+    """Say how many torn or corrupt log lines a read skipped, if any."""
+    if skipped:
+        print(f"corrupt lines skipped: {skipped}")
+
+
+def _read_trace(path: str) -> list[dict[str, Any]]:
+    """A trace file's records; exits with a message when it is missing."""
+    from repro import obs
+
+    try:
+        records, skipped = obs.read_trace(path)
+    except FileNotFoundError:
+        raise SystemExit(f"no trace file at {path!r}") from None
+    _report_skipped(skipped)
+    return records
+
+
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro import obs
 
@@ -641,10 +661,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     if args.perf_command == "record":
         from repro.studygraph import StudyContext, default_registry, memo_walls
 
-        try:
-            records = obs.read_trace(args.trace)
-        except FileNotFoundError:
-            raise SystemExit(f"no trace file at {args.trace!r}") from None
+        records = _read_trace(args.trace)
         if not records:
             raise SystemExit(f"no trace records in {args.trace!r}")
         versions = {
@@ -670,6 +687,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         return 0
 
     records = db.read_cached()
+    _report_skipped(db.skipped_lines)
     if args.perf_command == "report":
         if not records:
             print(f"perf history {args.db} is empty")
@@ -761,10 +779,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     from repro import obs
 
-    try:
-        records = obs.read_trace(args.path)
-    except FileNotFoundError:
-        raise SystemExit(f"no trace file at {args.path!r}") from None
+    records = _read_trace(args.path)
     if not records:
         raise SystemExit(f"no trace records in {args.path!r}")
 
@@ -856,12 +871,7 @@ def _cmd_study_status(args: argparse.Namespace) -> int:
     context = StudyContext.default(cache_dir=cache_dir)
     trace_records = None
     if getattr(args, "trace", None):
-        from repro import obs
-
-        try:
-            trace_records = obs.read_trace(args.trace)
-        except FileNotFoundError:
-            raise SystemExit(f"no trace file at {args.trace!r}") from None
+        trace_records = _read_trace(args.trace)
     try:
         rows = study_status(
             context, nodes=_study_nodes(args), trace_records=trace_records
@@ -1127,14 +1137,13 @@ def _cmd_slo_check(args: argparse.Namespace) -> int:
 
     perf_records = None
     if args.db:
-        perf_records = obs.PerfDB(args.db).read()
+        db = obs.PerfDB(args.db)
+        perf_records = db.read()
+        _report_skipped(db.skipped_lines)
 
     trace_records = None
     if args.trace:
-        try:
-            trace_records = obs.read_trace(args.trace)
-        except FileNotFoundError:
-            raise SystemExit(f"no trace file at {args.trace!r}") from None
+        trace_records = _read_trace(args.trace)
 
     try:
         results = slo.evaluate_objectives(

@@ -13,10 +13,10 @@ journal-aware engine:
   reassembling results in submission order;
 * :mod:`~repro.harness.pool` -- fork-based process pool with per-worker
   context caching and an inline serial path;
-* :mod:`~repro.harness.journal` -- crash-safe JSONL run log; interrupted
-  campaigns resume without recomputation;
-* :mod:`~repro.harness.telemetry` -- counters, timers, utilization, and
-  progress reporting;
+* :mod:`~repro.harness.journal` -- append-only JSONL run log; a killed
+  campaign tears at most its last line and resumes without recomputation
+  (nothing is fsynced, so power loss is not covered);
+* :mod:`~repro.harness.telemetry` -- progress reporting;
 * :mod:`~repro.harness.engine` -- :func:`run_campaign`, tying the above
   together;
 * :mod:`~repro.harness.campaigns` -- the study's replay experiments
@@ -32,7 +32,7 @@ from repro.harness.engine import CampaignResult, run_campaign
 from repro.harness.journal import JournalContents, JournalWriter, load_journal
 from repro.harness.pool import UnitExecution, WorkerPool, fork_available
 from repro.harness.shard import assemble_results, shard_count_for, shard_units
-from repro.harness.telemetry import ProgressReporter, Telemetry, TimerStats
+from repro.harness.telemetry import ProgressReporter
 from repro.harness.workunit import WorkUnit, check_unique
 from repro.harness.campaigns import (
     KIND_RACE_WINDOW,
@@ -59,8 +59,6 @@ __all__ = [
     "KIND_RETRY_BUDGET",
     "ProgressReporter",
     "ReplayContext",
-    "Telemetry",
-    "TimerStats",
     "UnitExecution",
     "WorkUnit",
     "WorkerPool",

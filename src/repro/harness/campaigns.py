@@ -27,8 +27,9 @@ from repro.corpus.loader import StudyData
 from repro.corpus.studyspec import StudyFault
 from repro.envmodel.environment import Environment
 from repro.harness.engine import CampaignResult, run_campaign
-from repro.harness.telemetry import ProgressReporter, Telemetry
+from repro.harness.telemetry import ProgressReporter
 from repro.harness.workunit import WorkUnit
+from repro.obs.metrics import MetricsRegistry
 from repro.recovery.base import RecoveryTechnique
 from repro.recovery.campaign import SweepPoint, timing_faults
 from repro.recovery.driver import (
@@ -202,7 +203,7 @@ def run_replay_campaign(
     workers: int = 1,
     journal_path: str | None = None,
     journal_meta: Mapping[str, Any] | None = None,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     progress: ProgressReporter | None = None,
 ) -> ReplayReport:
     """Replay ``faults`` under fresh instances of one technique.
@@ -249,7 +250,7 @@ def run_replay_study(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     journal_path: str | None = None,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     progress: ProgressReporter | None = None,
 ) -> ReplayReport:
     """The full-study replay on the engine (`replay_study`'s core)."""
@@ -297,7 +298,7 @@ def run_sweep_retry_budget(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     journal_path: str | None = None,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     progress: ProgressReporter | None = None,
 ) -> list[SweepPoint]:
     """The retry-budget sweep on the engine (`sweep_retry_budget`'s core)."""
@@ -342,7 +343,7 @@ def run_sweep_race_window(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     journal_path: str | None = None,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     progress: ProgressReporter | None = None,
 ) -> list[SweepPoint]:
     """The race-window sweep on the engine (`sweep_race_window`'s core)."""

@@ -29,10 +29,11 @@ from typing import Any, Mapping, Sequence
 
 from repro import obs
 from repro.obs import resources as obs_resources
+from repro.obs.metrics import MetricsRegistry
 from repro.harness.journal import JournalWriter, load_journal
 from repro.harness.pool import UnitExecution, UnitRunner, WorkerPool
 from repro.harness.shard import assemble_results
-from repro.harness.telemetry import ProgressReporter, Telemetry
+from repro.harness.telemetry import ProgressReporter
 from repro.harness.workunit import WorkUnit, check_unique
 
 
@@ -50,7 +51,7 @@ class CampaignResult:
 
     units: tuple[WorkUnit, ...]
     results: tuple[dict[str, Any], ...]
-    telemetry: Telemetry
+    telemetry: MetricsRegistry
     executed: int
     resumed: int
 
@@ -59,7 +60,7 @@ class CampaignResult:
         return list(zip(self.units, self.results))
 
 
-def _record_outcome_counters(telemetry: Telemetry, result: Mapping[str, Any]) -> None:
+def _record_outcome_counters(telemetry: MetricsRegistry, result: Mapping[str, Any]) -> None:
     """Survival counters for replay-shaped results (no-ops otherwise)."""
     if "survived" not in result:
         return
@@ -79,7 +80,7 @@ def run_campaign(
     journal_path: str | None = None,
     journal_meta: Mapping[str, Any] | None = None,
     resume: bool = True,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     progress: ProgressReporter | None = None,
     heartbeat: Any = None,
 ) -> CampaignResult:
@@ -110,7 +111,7 @@ def run_campaign(
     """
     units = list(units)
     check_unique(units)
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
     telemetry.count("units.total", len(units))
 
     by_key = {unit.key(): unit for unit in units}

@@ -1,16 +1,17 @@
-"""JSONL run journal: crash-safe campaign persistence.
+"""JSONL run journal: resumable campaign persistence.
 
-Every completed work unit is appended to the journal as one JSON line,
-flushed immediately, so a killed campaign loses at most the units that
-were in flight.  On resume the engine loads the journal, skips every
-unit whose content key already has a record, and appends the rest to the
-same file -- the final report is identical to an uninterrupted run.
+Every completed work unit is appended to the journal as one JSON line
+(one :func:`repro.fileio.append_line` write), so a killed campaign loses
+at most the units in flight and tears at most its last line; nothing is
+fsynced, so power loss is not covered.  On resume the engine loads the
+journal, skips every unit whose content key already has a record, and
+appends the rest to the same file -- the final report is identical to
+an uninterrupted run.
 
 The first line is a header carrying campaign metadata (kind, technique,
 seed, scope), which lets ``repro campaign resume`` rebuild the unit
-stream from the journal alone.  Loading tolerates a truncated or corrupt
-trailing line (the usual artifact of a kill mid-write): undecodable
-lines are counted and skipped, never fatal.
+stream from the journal alone.  Loading skips and counts a torn or
+corrupt line anywhere (:func:`repro.fileio.read_jsonl`), never fatal.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import json
 import os
 import time
 from typing import Any, Mapping
+
+from repro import fileio
 
 JOURNAL_MAGIC = "repro.harness.journal"
 JOURNAL_VERSION = 1
@@ -39,42 +42,30 @@ class JournalContents:
 
 
 def load_journal(path: str | os.PathLike[str]) -> JournalContents:
-    """Load a journal file, tolerating truncated/corrupt lines.
+    """Load a journal file, skipping and counting torn or corrupt lines.
 
     Returns:
         The header metadata (empty dict if the header is missing or
         unreadable) and a ``key -> record`` map; later records win on
         duplicate keys, so a unit journaled twice is counted once.
     """
+    entries, skipped = fileio.read_jsonl(path)
     meta: dict[str, Any] = {}
     records: dict[str, dict[str, Any]] = {}
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(entry, dict):
-                skipped += 1
-                continue
-            if entry.get("type") == "header":
-                if index == 0 and entry.get("journal") == JOURNAL_MAGIC:
-                    meta = entry.get("meta", {})
-                continue
-            if entry.get("type") == "unit" and "key" in entry:
-                records[entry["key"]] = entry
-            else:
-                skipped += 1
+    for index, entry in enumerate(entries):
+        if entry.get("type") == "header":
+            if index == 0 and entry.get("journal") == JOURNAL_MAGIC:
+                meta = entry.get("meta", {})
+            continue
+        if entry.get("type") == "unit" and "key" in entry:
+            records[entry["key"]] = entry
+        else:
+            skipped += 1
     return JournalContents(meta=meta, records=records, skipped_lines=skipped)
 
 
 class JournalWriter:
-    """Append-only JSONL writer with per-line flush.
+    """Append-only JSONL writer: one unbuffered write per line.
 
     Args:
         path: the journal file; created (with a header) when missing,
@@ -89,9 +80,7 @@ class JournalWriter:
         meta: Mapping[str, Any] | None = None,
     ) -> None:
         self.path = os.fspath(path)
-        fresh = not (os.path.exists(self.path) and os.path.getsize(self.path) > 0)
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if fresh:
+        if not (os.path.exists(self.path) and os.path.getsize(self.path) > 0):
             self._write_line(
                 {
                     "type": "header",
@@ -103,8 +92,7 @@ class JournalWriter:
             )
 
     def _write_line(self, entry: dict[str, Any]) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
+        fileio.append_line(self.path, json.dumps(entry, sort_keys=True))
 
     def append(
         self,
@@ -116,7 +104,7 @@ class JournalWriter:
     ) -> None:
         """Journal one completed unit.
 
-        Flushed to the OS on every append (not fsynced).
+        Written to the OS on every append (not fsynced).
         """
         self._write_line(
             {
@@ -129,7 +117,7 @@ class JournalWriter:
         )
 
     def close(self) -> None:
-        self._handle.close()
+        """Nothing to release: every append opens and closes the file."""
 
     def __enter__(self) -> "JournalWriter":
         return self

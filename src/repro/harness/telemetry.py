@@ -1,17 +1,4 @@
-"""Structured campaign telemetry: counters, timers, and progress.
-
-The engine records per-unit wall time, queue latency, worker
-utilization, and survival counters here; the CLI renders a summary after
-the run and a :class:`ProgressReporter` line while it is going.
-
-The metrics implementation lives in :mod:`repro.obs.metrics` --
-:class:`Telemetry` is the :class:`~repro.obs.metrics.MetricsRegistry`
-under its historical name, kept so harness callers (and everything that
-imports ``repro.harness.Telemetry``) keep working while harness,
-pipeline, and studygraph all report into the same registry type.  The
-move also fixed gauge folding: merged gauges reduce deterministically by
-shard id instead of last-write-wins across arrival order.
-"""
+"""Campaign progress lines; the metrics live in :class:`repro.obs.MetricsRegistry`."""
 
 from __future__ import annotations
 
@@ -19,18 +6,7 @@ import sys
 import time
 from typing import TextIO
 
-from repro.obs.metrics import MetricsRegistry, TimerStats
-
-__all__ = ["ProgressReporter", "Telemetry", "TimerStats"]
-
-
-class Telemetry(MetricsRegistry):
-    """The campaign metrics registry, under its historical harness name.
-
-    Counters accumulate integers (``units.executed``, ``units.survived``);
-    timers accumulate observed durations (``unit.wall``, ``unit.queue``);
-    gauges hold last-written floats per shard (``workers.utilization``).
-    """
+__all__ = ["ProgressReporter"]
 
 
 class ProgressReporter:

@@ -11,12 +11,12 @@ report into:
   cross-process propagation: a dispatcher's span context travels to
   forked pool workers, whose spans ship back parented under the
   dispatching wave;
-* :mod:`~repro.obs.metrics` -- :class:`MetricsRegistry`, the
-  counters/timers/gauges registry that absorbed
-  ``repro.harness.telemetry.Telemetry``, with deterministic
-  (shard-keyed) gauge merges;
+* :mod:`~repro.obs.metrics` -- :class:`MetricsRegistry`, the one
+  counters/timers/gauges registry, with deterministic (shard-keyed)
+  gauge merges;
 * :mod:`~repro.obs.sinks` -- pluggable span sinks: in-memory for tests,
-  crash-safe JSONL for ``repro study run --trace``;
+  append-only JSONL for ``repro study run --trace`` (a killed run tears
+  at most its last line; not fsynced, so power loss is not covered);
 * :mod:`~repro.obs.chrome` -- Chrome ``trace_event`` export, loadable
   in ``chrome://tracing`` / Perfetto;
 * :mod:`~repro.obs.summary` -- wall-time attribution for ``repro trace
@@ -44,8 +44,9 @@ returns a shared no-op object and :func:`current_context` returns None;
 instrumented hot paths pay one module-global check.  The studygraph
 benchmark asserts < 5% wall-time overhead with tracing *enabled*.
 
-Layering: this package imports nothing from the rest of ``repro``, so
-every other subsystem may instrument itself freely.
+Layering: this package imports nothing from the rest of ``repro`` but
+the leaf :mod:`repro.fileio` (on-disk I/O), so every other subsystem
+may instrument itself freely.
 """
 
 from repro.obs.chrome import chrome_trace

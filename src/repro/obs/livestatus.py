@@ -3,11 +3,11 @@
 A long study run is opaque from outside the process: the journal says
 what finished, the trace says where time went -- afterwards.  This
 module adds the *during*: the dispatching process periodically writes a
-small, atomic JSON snapshot (temp file + rename, so a reader never sees
-a half-written file) and ``repro study watch`` renders it as a
-refreshing one-line status: per-wave progress, the currently slowest
-in-flight nodes, and an ETA computed from perfdb history when one is
-available.
+small, atomic JSON snapshot (:func:`repro.fileio.atomic_write`, so a
+reader never sees a half-written file) and ``repro study watch``
+renders it as a refreshing one-line status: per-wave progress, the
+currently slowest in-flight nodes, and an ETA computed from perfdb
+history when one is available.
 
 Two layers feed the snapshot:
 
@@ -25,19 +25,18 @@ overhead budget the tracing path honours
 (``benchmarks/test_bench_livestatus.py`` enforces it).
 
 Layering: like the rest of :mod:`repro.obs`, nothing here imports from
-the wider ``repro`` package -- the scheduler and engine call in, never
-the other way around.
+the wider ``repro`` package but :mod:`repro.fileio` -- the scheduler and
+engine call in, never the other way around.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro import fileio
 from repro.obs.perfdb import family_medians, grid_family
 
 #: Snapshot format version.
@@ -57,24 +56,12 @@ DEFAULT_STALE_AFTER = 30.0
 def write_snapshot(path: str | Path, payload: Mapping[str, Any]) -> None:
     """Atomically replace ``path`` with ``payload`` as JSON.
 
-    Temp file + rename in the target directory: a concurrent reader
-    sees either the previous snapshot or this one, never a torn write.
+    :func:`repro.fileio.atomic_write`: a concurrent reader sees either
+    the previous snapshot or this one, never a torn write.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
+    fileio.atomic_write(
+        path, json.dumps(payload, separators=(",", ":"), sort_keys=True)
     )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(json.dumps(payload, separators=(",", ":"), sort_keys=True))
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
 
 
 def read_snapshot(path: str | Path) -> dict[str, Any] | None:

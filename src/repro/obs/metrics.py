@@ -2,11 +2,10 @@
 
 :class:`MetricsRegistry` is the single place harness campaigns, the
 archive pipeline, and the study-graph scheduler report their numbers.
-It generalises the original ``repro.harness.telemetry.Telemetry`` (which
-is now a thin alias kept for its import path): counters accumulate
-integers, timers accumulate observed durations, and gauges hold floats
-*per shard* so that folding snapshots from parallel shards is
-deterministic regardless of arrival order.
+It replaced the harness's original campaign telemetry class: counters
+accumulate integers, timers accumulate observed durations, and gauges
+hold floats *per shard* so that folding snapshots from parallel shards
+is deterministic regardless of arrival order.
 
 The old gauge semantics -- last write wins across :meth:`merge` calls --
 made merged values depend on completion order under parallel runs
@@ -139,7 +138,7 @@ class MetricsRegistry:
         """All metrics as one JSON-serialisable dict.
 
         ``gauges`` carries the reduced per-gauge values (the shape the
-        original Telemetry emitted); ``gauge_shards`` carries the full
+        original harness telemetry emitted); ``gauge_shards`` carries the full
         per-shard breakdown that :meth:`merge` folds deterministically.
         """
         return {

@@ -4,10 +4,10 @@ Every traced run so far threw its numbers away when the process exited;
 this module is where they accrue instead.  A :class:`PerfDB` is one
 JSONL file of :class:`PerfRecord`\\ s -- per-node wall seconds, cache
 hit/miss counters, and worker counts, keyed by node version tags and
-the recording git SHA -- written append-only with one flushed line per
-run, so a crashed writer can lose at most its own in-flight record and
-:meth:`PerfDB.read` tolerates the truncated tail (the same crash-safety
-stance as the harness journal and the JSONL trace sink).
+the recording git SHA -- appended one line per run through
+:mod:`repro.fileio`, like the harness journal and the trace sink: a
+killed writer tears at most its own line, which :meth:`PerfDB.read`
+skips and counts; nothing is fsynced, so power loss is not covered.
 
 On top of the history sit the two consumers:
 
@@ -35,6 +35,8 @@ import subprocess
 import uuid
 from pathlib import Path
 from typing import Any, Iterable, Mapping
+
+from repro import fileio
 
 #: Perf record format version (bump on incompatible shape changes).
 PERFDB_VERSION = 1
@@ -231,51 +233,41 @@ class PerfRecord:
 class PerfDB:
     """One append-only JSONL perf history file.
 
-    Appends open the file per call in append mode and flush one complete
-    line, so concurrent recorders interleave whole records and a crashed
-    writer truncates at most its own line -- which :meth:`read` skips.
+    Each append is one :func:`repro.fileio.append_line` write, so
+    concurrent recorders interleave whole records and a killed writer
+    tears at most its own line -- which :meth:`read` skips and counts in
+    :attr:`skipped_lines`.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self.skipped_lines = 0
         self._cache_key: tuple[int, int] | None = None
         self._cache_records: list[PerfRecord] = []
         self._cache_medians: dict[str, float] | None = None
 
     def append(self, record: PerfRecord) -> None:
-        """Append one record as a single flushed JSON line."""
+        """Append one record as a single JSON line."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record.to_dict(), separators=(",", ":"), sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as stream:
-            stream.write(line + "\n")
-            stream.flush()
+        fileio.append_line(self.path, line)
 
     def read(self) -> list[PerfRecord]:
-        """Every readable record, oldest first.
+        """Every readable record, oldest first (a missing file is empty).
 
-        A truncated or corrupt tail ends the read without raising;
-        records with a different format version are skipped.
+        Torn or corrupt lines are skipped and counted in
+        :attr:`skipped_lines`; records with a different format version
+        are skipped without counting.
         """
-        records: list[PerfRecord] = []
         try:
-            stream = open(self.path, "r", encoding="utf-8")
+            entries, self.skipped_lines = fileio.read_jsonl(self.path)
         except FileNotFoundError:
-            return records
-        with stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    break
-                if (
-                    isinstance(data, dict)
-                    and data.get("perfdb_version") == PERFDB_VERSION
-                ):
-                    records.append(PerfRecord.from_dict(data))
-        return records
+            entries, self.skipped_lines = [], 0
+        return [
+            PerfRecord.from_dict(data)
+            for data in entries
+            if data.get("perfdb_version") == PERFDB_VERSION
+        ]
 
     def _stat_key(self) -> tuple[int, int]:
         """The file's ``(mtime_ns, size)`` -- the cache validity token."""

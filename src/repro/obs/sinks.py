@@ -8,10 +8,10 @@ cover the subsystem's needs:
   never reaches a sink at all, this exists for explicit plumbing;
 * :class:`MemorySink` -- collects records in a list, for tests and for
   worker-side capture buffers;
-* :class:`JsonlSink` -- crash-safe on-disk trace log: one JSON object
-  per line, flushed per record, so a killed run loses at most the
-  in-flight span.  :func:`read_trace` tolerates a truncated final line
-  (the crash case) by stopping at the first undecodable line.
+* :class:`JsonlSink` -- on-disk trace log: one JSON line per record,
+  appended with :func:`repro.fileio.append_line`, so a killed run tears
+  at most its last line, which :func:`read_trace` skips and counts.
+  Nothing is fsynced: power loss is not covered.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import json
 import threading
 from pathlib import Path
 from typing import Any
+
+from repro import fileio
 
 
 class NullSink:
@@ -46,51 +48,28 @@ class MemorySink:
 
 
 class JsonlSink:
-    """Appends one JSON line per span record to ``path``, flushed eagerly.
+    """Appends one JSON line per span record to ``path``.
 
-    The file is truncated on open: one trace file describes one run.
-    Every record is written and flushed as a single line, so a crashed
-    process can truncate at most the last line -- which
-    :func:`read_trace` skips on load.
+    The file starts empty: one trace file describes one run.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._stream = open(self.path, "w", encoding="utf-8")
-        self._lock = threading.Lock()
+        fileio.atomic_write(self.path, "")
+        self._lock = threading.Lock()  # serve daemon threads share a sink
         self.emitted = 0
 
     def emit(self, record: dict[str, Any]) -> None:
-        # Lock-guarded so concurrent request threads (the serve daemon)
-        # never interleave two records on one line.
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        fileio.append_line(self.path, line)
         with self._lock:
-            self._stream.write(line)
-            self._stream.flush()
             self.emitted += 1
 
     def close(self) -> None:
-        if not self._stream.closed:
-            self._stream.close()
+        pass
 
 
-def read_trace(path: str | Path) -> list[dict[str, Any]]:
-    """Load span records from a JSONL trace file.
-
-    A truncated or corrupt tail (a crashed writer's final line) ends the
-    read without raising; everything before it is returned.
-    """
-    records: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if isinstance(record, dict):
-                records.append(record)
-    return records
+def read_trace(path: str | Path) -> tuple[list[dict[str, Any]], int]:
+    """Span records from a JSONL trace file, plus the count of torn or
+    corrupt lines skipped (wherever they are; later records still load)."""
+    return fileio.read_jsonl(path)

@@ -22,7 +22,7 @@ traces bit-identical to the serial path:
 * :mod:`~repro.pipeline.records` -- JSON codecs for cached records;
 * :mod:`~repro.pipeline.runner` -- :func:`mine_archive_text` /
   :func:`mine_application`, tying the stages together with
-  :class:`~repro.harness.telemetry.Telemetry`.
+  :class:`~repro.obs.metrics.MetricsRegistry`.
 
 **Equivalence contract**: for every application, any worker count, and
 any cache state, the pipeline's :class:`~repro.mining.pipeline.

@@ -11,10 +11,10 @@ invalidate` as the explicit escape hatch (and ``repro mine run
 --no-cache`` bypassing the cache entirely).
 
 Entries are JSON files under ``cache_dir/<digest[:2]>/<digest>.<tag>.json``,
-written atomically (temp file + rename) so a crashed writer can never
-leave a half-entry that later reads as a hit.  Corrupt or unreadable
-entries are treated as misses, matching the journal's crash-safety
-stance in :mod:`repro.harness.journal`.
+written with :func:`repro.fileio.atomic_write` (temp file + rename) so a
+killed writer can never leave a half-entry that later reads as a hit.
+Corrupt or unreadable entries are treated as misses.  Entries are not
+fsynced: after power loss an entry may be missing, which is a miss.
 
 This mirrors the per-file analysis caches used for whole-kernel sweeps
 in *Faults in Linux 2.6* (Palix et al.): re-running over an unchanged
@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any
 
-from repro import obs
+from repro import fileio, obs
 
 #: Cache format version, embedded in every payload for debuggability.
 CACHE_FORMAT_VERSION = 1
@@ -102,27 +100,14 @@ class ParseMineCache:
         """Atomically write a payload for (digest, tag); returns its path."""
         path = self._entry_path(digest, tag)
         with obs.span("cache:store", tag=tag):
-            path.parent.mkdir(parents=True, exist_ok=True)
             payload = {
                 "cache_format": CACHE_FORMAT_VERSION,
                 "digest": digest,
                 "tag": tag,
                 "data": data,
             }
-            handle, temp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            try:
-                # dumps, not dump: only dumps takes the C encoder.
-                with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                    stream.write(json.dumps(payload, separators=(",", ":")))
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
+            # dumps, not dump: only dumps takes the C encoder.
+            fileio.atomic_write(path, json.dumps(payload, separators=(",", ":")))
             return path
 
     def entry_paths(self, digest: str | None = None) -> list[Path]:

@@ -23,8 +23,8 @@ from repro.bugdb.enums import Application
 from repro.bugdb.segments import SegmentedTextIndex
 from repro.corpus.loader import full_study
 from repro.corpus.studyspec import StudyCorpus
-from repro.harness.telemetry import Telemetry
 from repro.mining.pipeline import MiningResult
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import records as _records
 from repro.pipeline.cache import ParseMineCache, archive_digest, archive_file_digest
 from repro.pipeline.formats import ArchiveFormat, format_for
@@ -52,7 +52,7 @@ class PipelineRun:
     digest: str
     mine_cache_hit: bool
     parse_cache_hit: bool
-    telemetry: Telemetry
+    telemetry: MetricsRegistry
 
     def summary_lines(self) -> list[str]:
         """Human-readable pipeline footer for the CLI."""
@@ -100,7 +100,7 @@ def mine_archive_text(
     *,
     workers: int = 1,
     cache: ParseMineCache | None = None,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
 ) -> PipelineRun:
     """Mine raw archive text through the fast path.
 
@@ -112,7 +112,7 @@ def mine_archive_text(
         telemetry: optional sink (one is created when omitted).
     """
     fmt = format_for(application)
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
     digest = archive_digest(text)
     mine_cache_hit = False
     parse_cache_hit = False
@@ -196,7 +196,7 @@ def mine_archive_file(
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
     workers: int = 1,
     cache: ParseMineCache | None = None,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     index_dir: str | Path | None = None,
 ) -> PipelineRun:
     """Mine an archive **file** through the streaming byte-range path.
@@ -220,7 +220,7 @@ def mine_archive_file(
     as-is and cache hits short-circuit as usual.
     """
     fmt = format_for(application)
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
     digest = archive_file_digest(path)
     parse_cache_hit = False
 
@@ -316,7 +316,7 @@ def mine_application(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     corpus: StudyCorpus | None = None,
 ) -> PipelineRun:
     """Render an application's archive and mine it through the fast path.
@@ -332,7 +332,7 @@ def mine_application(
         corpus: curated corpus override (defaults to the full study's).
     """
     fmt = format_for(application)
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
     if corpus is None:
         corpus = full_study().corpus(application)
     with telemetry.timed("render.wall"):

@@ -29,8 +29,8 @@ from repro.bugdb.segments import SegmentedTextIndex, segment_from_index
 from repro.bugdb.textindex import TextIndex
 from repro.harness.pool import UnitExecution, WorkerPool
 from repro.harness.shard import assemble_results, shard_count_for, shard_units
-from repro.harness.telemetry import Telemetry
 from repro.harness.workunit import WorkUnit
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.formats import ArchiveFormat
 from repro.pipeline.streamsplit import (
     DEFAULT_MAX_SHARD_BYTES,
@@ -108,7 +108,7 @@ def parse_archive_sharded(
     text: str,
     *,
     workers: int = 1,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
 ) -> ParsedArchive:
     """Parse an archive, in parallel shards when ``workers > 1``.
 
@@ -122,7 +122,7 @@ def parse_archive_sharded(
     The record list (and merged index) is identical to the serial path
     for any worker count.
     """
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
     with obs.span(
         f"parse:{fmt.application.value}", workers=max(1, workers)
     ) as parse_span:
@@ -304,7 +304,7 @@ def parse_archive_streamed(
     *,
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
     workers: int = 1,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     index_dir: str | os.PathLike | None = None,
     keep_records: bool = False,
     consumer: Callable[[int, list[Any]], None] | None = None,
@@ -327,7 +327,7 @@ def parse_archive_streamed(
     archive is too large to rematerialize).  ``keep_records=True``
     additionally retains the full record list on the result.
     """
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
     path = Path(path)
     if index_dir is not None and fmt.index_text is None:
         raise ValueError(

@@ -418,7 +418,7 @@ class StudyService:
         classic single-node commands by the graph's equivalence
         contract.
         """
-        from repro.harness.telemetry import Telemetry
+        from repro.obs.metrics import MetricsRegistry
         from repro.studygraph.context import StudyContext
         from repro.studygraph.scheduler import run_study
 
@@ -432,7 +432,7 @@ class StudyService:
             study=self._study,
             workers=self.workers,
             cache=self._cache,
-            telemetry=Telemetry(),
+            telemetry=MetricsRegistry(),
         )
         result = run_study(context, nodes=[name], outputs=[name], registry=registry)
         run = result.runs[name]
@@ -496,7 +496,7 @@ class StudyService:
         path = request.params.get("path")
         if not path or not isinstance(path, str):
             raise ValueError("trace-summary request requires a 'path' parameter")
-        records = obs.read_trace(path)
+        records, _ = obs.read_trace(path)
         if not records:
             raise ValueError(f"no trace records in {path!r}")
         summary = obs.summarize_trace(records, top=int(request.params.get("top", 10)))

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from repro.corpus.loader import StudyData, full_study
-from repro.harness.telemetry import Telemetry
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.cache import ParseMineCache
 
 _T = TypeVar("_T")
@@ -44,7 +44,7 @@ class StudyContext:
     study: StudyData
     workers: int = 1
     cache: ParseMineCache | None = None
-    telemetry: Telemetry = dataclasses.field(default_factory=Telemetry)
+    telemetry: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
     _derived: dict[str, tuple[Any, Any]] = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -70,7 +70,7 @@ class StudyContext:
         *,
         workers: int = 1,
         cache_dir: str | Path | None = None,
-        telemetry: Telemetry | None = None,
+        telemetry: MetricsRegistry | None = None,
     ) -> "StudyContext":
         """A context over the shared curated study.
 
@@ -85,5 +85,5 @@ class StudyContext:
             study=full_study(),
             workers=workers,
             cache=ParseMineCache(cache_dir) if cache_dir is not None else None,
-            telemetry=telemetry if telemetry is not None else Telemetry(),
+            telemetry=telemetry if telemetry is not None else MetricsRegistry(),
         )

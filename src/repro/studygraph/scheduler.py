@@ -31,8 +31,9 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.obs import resources as obs_resources
+from repro.obs.metrics import MetricsRegistry
 from repro.harness.engine import run_campaign
-from repro.harness.telemetry import ProgressReporter, Telemetry
+from repro.harness.telemetry import ProgressReporter
 from repro.harness.workunit import WorkUnit
 from repro.studygraph.artifact import (
     DATA_TAG,
@@ -93,7 +94,7 @@ class StudyRunResult:
 
     runs: dict[str, NodeRun]
     outputs: dict[str, dict[str, Any]]
-    telemetry: Telemetry
+    telemetry: MetricsRegistry
     waves: int
 
     @property
@@ -442,7 +443,7 @@ def _worker_context(context: StudyContext) -> StudyContext:
         study=context.study,
         workers=1,
         cache=None,
-        telemetry=Telemetry(),
+        telemetry=MetricsRegistry(),
     )
 
 

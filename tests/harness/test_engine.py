@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness import ProgressReporter, Telemetry, WorkUnit, load_journal, run_campaign
+from repro.harness import ProgressReporter, WorkUnit, load_journal, run_campaign
+from repro.obs import MetricsRegistry
 
 
 def double_runner(unit, context):
@@ -90,7 +91,7 @@ class TestJournalResume:
 
 class TestTelemetry:
     def test_counters_and_timers(self):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         run_campaign(_units(6), double_runner, telemetry=telemetry)
         assert telemetry.counter("units.total") == 6
         assert telemetry.counter("units.executed") == 6
@@ -103,14 +104,14 @@ class TestTelemetry:
         journal = str(tmp_path / "run.jsonl")
         units = _units(4)
         run_campaign(units, double_runner, journal_path=journal)
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         run_campaign(units, double_runner, journal_path=journal, telemetry=telemetry)
         assert telemetry.counter("units.resumed") == 4
         assert telemetry.counter("units.survived") == 2
         assert telemetry.timer("unit.wall").count == 0  # nothing re-ran
 
     def test_parallel_records_worker_gauges(self):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         run_campaign(_units(12), double_runner, workers=2, telemetry=telemetry)
         assert telemetry.gauge_value("workers.count") == 2
         assert 0.0 <= telemetry.gauge_value("workers.utilization") <= 1.0

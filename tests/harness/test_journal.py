@@ -1,4 +1,4 @@
-"""Tests for the crash-safe JSONL journal."""
+"""Tests for the append-only JSONL journal."""
 
 import json
 

@@ -6,9 +6,9 @@ import time
 import pytest
 
 from repro import obs
-from repro.harness import Telemetry, WorkUnit, run_campaign
+from repro.harness import WorkUnit, run_campaign
 from repro.harness.pool import fork_available
-from repro.obs import resources
+from repro.obs import MetricsRegistry, resources
 from repro.obs.resources import proc_available
 
 needs_proc = pytest.mark.skipif(
@@ -56,7 +56,7 @@ class TestSerialSampling:
     def test_serial_campaign_emits_attributed_samples(self):
         resources.configure(60.0)  # the thread never fires; units tick
         sink = obs.MemorySink()
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         with obs.tracing(sink):
             campaign = run_campaign(_units(4), ticking_runner, telemetry=telemetry)
         assert [r["value"] for r in campaign.results] == [0, 2, 4, 6]
@@ -77,14 +77,14 @@ class TestSerialSampling:
         """Units finishing inside one interval: zero mid-run samples,
         but stop() still takes a final reading so the peak gauge fills."""
         resources.configure(60.0)
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         campaign = run_campaign(_units(3), fast_runner, telemetry=telemetry)
         assert campaign.executed == 3
         assert telemetry.gauge_value("resources.peak_rss_bytes") > 0
 
     def test_disabled_means_no_records_and_no_gauge(self):
         sink = obs.MemorySink()
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         with obs.tracing(sink):
             run_campaign(_units(3), fast_runner, telemetry=telemetry)
         assert resources.resource_records(sink.records) == []

@@ -6,12 +6,39 @@ criterion for interrupted campaigns.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.harness import Telemetry, load_journal
+import repro
+from repro.harness import load_journal
 from repro.harness.campaigns import run_replay_campaign
+from repro.obs import MetricsRegistry
 from repro.recovery import CheckpointRollback, replay_study
+
+#: A child that journals a replay campaign over the first N faults, then
+#: waits to be killed (so the kill always finds a live process).
+_JOURNALING_CHILD = """
+import sys, time
+from repro.corpus import full_study
+from repro.harness.campaigns import run_replay_campaign
+from repro.recovery import CheckpointRollback
+faults = full_study().all_faults()[: int(sys.argv[2])]
+run_replay_campaign(faults, CheckpointRollback, journal_path=sys.argv[1])
+time.sleep(600)
+"""
+
+
+def _complete_lines(path):
+    try:
+        return path.read_bytes().count(b"\n")
+    except FileNotFoundError:
+        return 0
 
 
 @pytest.fixture()
@@ -36,7 +63,7 @@ class TestJournaledCampaign:
     def test_rerun_resumes_everything(self, faults, baseline, tmp_path):
         journal = str(tmp_path / "run.jsonl")
         run_replay_campaign(faults, CheckpointRollback, journal_path=journal)
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         resumed = run_replay_campaign(
             faults, CheckpointRollback, journal_path=journal, telemetry=telemetry
         )
@@ -60,7 +87,7 @@ class TestTruncatedJournalResume:
         torn = lines[1 + 11][: len(lines[1 + 11]) // 2]
         journal.write_text("\n".join(kept + [torn]) + "\n")
 
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         resumed = run_replay_campaign(
             faults,
             CheckpointRollback,
@@ -84,6 +111,44 @@ class TestTruncatedJournalResume:
 
         resumed = replay_study(study, CheckpointRollback, journal=str(journal))
         assert resumed == expected
+
+
+class TestKilledCampaignResume:
+    def test_sigkill_mid_campaign_resumes_to_same_report(
+        self, faults, baseline, tmp_path
+    ):
+        journal = tmp_path / "run.jsonl"
+        wanted = 5  # completed unit lines to wait for before the kill
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _JOURNALING_CHILD, str(journal), str(len(faults))],
+            env=env,
+        )
+        deadline = time.monotonic() + 120  # a hang guard, not a pacing sleep
+        try:
+            # Header plus `wanted` unit lines, each ended by its newline.
+            while _complete_lines(journal) < 1 + wanted:
+                assert child.poll() is None, "child exited before the kill"
+                assert time.monotonic() < deadline, "child never journaled"
+                time.sleep(0.001)
+            os.kill(child.pid, signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+
+        contents = load_journal(journal)
+        assert contents.completed >= wanted
+        assert contents.skipped_lines <= 1
+        telemetry = MetricsRegistry()
+        resumed = run_replay_campaign(
+            faults, CheckpointRollback, journal_path=str(journal), telemetry=telemetry
+        )
+        assert resumed == baseline
+        assert telemetry.counter("units.resumed") == contents.completed
 
 
 class TestJournalUnitIdentity:

@@ -4,12 +4,13 @@ import io
 
 import pytest
 
-from repro.harness import ProgressReporter, Telemetry
+from repro.harness import ProgressReporter
+from repro.obs import MetricsRegistry
 
 
 class TestCounters:
     def test_count_and_read(self):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         telemetry.count("units.executed")
         telemetry.count("units.executed", 4)
         assert telemetry.counter("units.executed") == 5
@@ -18,7 +19,7 @@ class TestCounters:
 
 class TestTimers:
     def test_observe_aggregates(self):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         for value in (0.1, 0.3, 0.2):
             telemetry.observe("unit.wall", value)
         stats = telemetry.timer("unit.wall")
@@ -29,18 +30,18 @@ class TestTimers:
         assert abs(stats.mean - 0.2) < 1e-12
 
     def test_timed_context_manager(self):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         with telemetry.timed("block"):
             pass
         assert telemetry.timer("block").count == 1
 
     def test_unobserved_timer_is_zero(self):
-        assert Telemetry().timer("nothing").mean == 0.0
+        assert MetricsRegistry().timer("nothing").mean == 0.0
 
 
 class TestGauges:
     def test_last_write_wins(self):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         telemetry.gauge("workers.utilization", 0.5)
         telemetry.gauge("workers.utilization", 0.8)
         assert telemetry.gauge_value("workers.utilization") == 0.8
@@ -48,10 +49,10 @@ class TestGauges:
 
 class TestSnapshotMerge:
     def test_merge_folds_counters_timers_gauges(self):
-        a = Telemetry()
+        a = MetricsRegistry()
         a.count("units.executed", 2)
         a.observe("unit.wall", 0.5)
-        b = Telemetry()
+        b = MetricsRegistry()
         b.count("units.executed", 3)
         b.observe("unit.wall", 0.1)
         b.gauge("workers.count", 4)
@@ -66,7 +67,7 @@ class TestSnapshotMerge:
     def test_snapshot_is_json_shaped(self):
         import json
 
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         telemetry.count("x")
         telemetry.observe("y", 1.0)
         telemetry.gauge("z", 2.0)
@@ -75,7 +76,7 @@ class TestSnapshotMerge:
 
 class TestSummaryLines:
     def test_mentions_units_and_survival(self):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         telemetry.count("units.total", 10)
         telemetry.count("units.executed", 10)
         telemetry.count("units.finished", 10)

@@ -1,6 +1,7 @@
 """The perf history database: appends, reads, trace import, gating."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -74,6 +75,43 @@ class TestPerfDB:
             stream.write('{"perfdb_version": 1, "run_id": "crash')
         loaded = db.read()
         assert len(loaded) == 2
+        assert db.skipped_lines == 1
+
+    def test_torn_line_mid_file_keeps_later_records(self, tmp_path):
+        path = tmp_path / "perf.jsonl"
+        db = PerfDB(path)
+        db.append(make_record({"T1": 0.5}))
+        with open(path, "a", encoding="utf-8") as stream:
+            stream.write('{"perfdb_version": 1, "run_id": "torn\n')
+        db.append(make_record({"T1": 0.6}))
+        loaded = db.read()
+        assert [r.nodes["T1"].wall_seconds for r in loaded] == [0.5, 0.6]
+        assert db.skipped_lines == 1
+
+    def test_concurrent_full_size_appends_stay_whole(self, tmp_path):
+        """4 processes x 50 appends of >= 18 KB lines read back whole."""
+        path = tmp_path / "perf.jsonl"
+        context = multiprocessing.get_context("spawn")
+        workers = [
+            context.Process(target=_append_large_records, args=(path, worker, 50))
+            for worker in range(4)
+        ]
+        for process in workers:
+            process.start()
+        for process in workers:
+            process.join(timeout=120)
+        assert [process.exitcode for process in workers] == [0] * 4
+
+        lines = path.read_bytes().splitlines()
+        assert len(lines) == 200
+        assert min(len(line) for line in lines) >= 18 * 1024
+        db = PerfDB(path)
+        loaded = db.read()
+        assert len(loaded) == 200
+        assert db.skipped_lines == 0
+        labels = sorted(record.label for record in loaded)
+        assert labels == sorted(f"w{w}-{i}" for w in range(4) for i in range(50))
+        assert all(len(record.nodes) == _LARGE_NODES for record in loaded)
 
     def test_version_mismatch_skipped(self, tmp_path):
         path = tmp_path / "perf.jsonl"
@@ -96,6 +134,20 @@ class TestPerfDB:
         data = record.to_dict()
         assert data["perfdb_version"] == PERFDB_VERSION
         assert list(data["nodes"]) == ["a", "b"]
+
+
+_LARGE_NODES = 300  # ~62 bytes per node entry: an ~18.5 KB line
+
+
+def _append_large_records(path, worker, count):
+    db = PerfDB(path)
+    for index in range(count):
+        db.append(
+            make_record(
+                {f"node.{worker}.{n:04d}": 0.001 * n for n in range(_LARGE_NODES)},
+                label=f"w{worker}-{index}",
+            )
+        )
 
 
 class TestGitSha:

@@ -102,7 +102,8 @@ def test_study_run_trace_links_across_processes(tmp_path):
             nodes=["double"],
             registry=_toy_registry(),
         )
-    records = obs.read_trace(trace_path)
+    records, skipped = obs.read_trace(trace_path)
+    assert skipped == 0
     by_id = {r["span_id"]: r for r in records}
     node_records = [r for r in records if r["name"].startswith("node:")]
     assert {r["name"] for r in node_records} == {"node:root", "node:double"}
@@ -130,7 +131,8 @@ def test_serial_study_run_trace_is_complete(tmp_path):
             registry=_toy_registry(),
         )
     assert result.executed == 2
-    records = obs.read_trace(trace_path)
+    records, skipped = obs.read_trace(trace_path)
+    assert skipped == 0
     names = {r["name"] for r in records}
     assert {"study.run", "wave", "campaign", "unit:studygraph"} <= names
     summary = obs.summarize_trace(records)

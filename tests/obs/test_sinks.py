@@ -1,4 +1,4 @@
-"""Sink behaviour, especially crash-truncation tolerance of JSONL traces."""
+"""Sink behaviour, especially torn-line tolerance of JSONL traces."""
 
 import json
 
@@ -14,8 +14,9 @@ def test_jsonl_sink_round_trips(tmp_path):
     sink.emit({"name": "b", "start": 2.0})
     sink.close()
     assert sink.emitted == 2
-    records = read_trace(path)
+    records, skipped = read_trace(path)
     assert [r["name"] for r in records] == ["a", "b"]
+    assert skipped == 0
 
 
 def test_jsonl_sink_creates_parent_directories(tmp_path):
@@ -23,11 +24,20 @@ def test_jsonl_sink_creates_parent_directories(tmp_path):
     sink = JsonlSink(path)
     sink.emit({"name": "x"})
     sink.close()
-    assert read_trace(path) == [{"name": "x"}]
+    assert read_trace(path) == ([{"name": "x"}], 0)
+
+
+def test_jsonl_sink_truncates_an_existing_trace(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"name": "old"}\n', encoding="utf-8")
+    sink = JsonlSink(path)
+    sink.emit({"name": "new"})
+    sink.close()
+    assert read_trace(path) == ([{"name": "new"}], 0)
 
 
 def test_read_trace_tolerates_truncated_tail(tmp_path):
-    """A crashed writer leaves a partial last line; reads keep the prefix."""
+    """A killed writer leaves a partial last line; reads keep the prefix."""
     path = tmp_path / "trace.jsonl"
     sink = JsonlSink(path)
     for index in range(3):
@@ -36,15 +46,27 @@ def test_read_trace_tolerates_truncated_tail(tmp_path):
     intact = path.read_text(encoding="utf-8")
     # Chop the last line mid-record, as a crash mid-write would.
     path.write_text(intact[: intact.rfind('"name"') + 3], encoding="utf-8")
-    records = read_trace(path)
+    records, skipped = read_trace(path)
     assert [r["name"] for r in records] == ["span0", "span1"]
+    assert skipped == 1
 
 
-def test_read_trace_stops_at_first_corrupt_line(tmp_path):
+def test_read_trace_skips_and_counts_corrupt_line(tmp_path):
+    """A torn line mid-file hides nothing after it: skipped and counted."""
     path = tmp_path / "trace.jsonl"
     lines = [json.dumps({"name": "good"}), "{not json", json.dumps({"name": "after"})]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert [r["name"] for r in read_trace(path)] == ["good"]
+    records, skipped = read_trace(path)
+    assert [r["name"] for r in records] == ["good", "after"]
+    assert skipped == 1
+
+
+def test_read_trace_counts_non_object_and_binary_lines(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b'{"name": "a"}\n[1, 2]\n\n\xff\xfe{\n{"name": "b"}\n')
+    records, skipped = read_trace(path)
+    assert [r["name"] for r in records] == ["a", "b"]
+    assert skipped == 2
 
 
 def test_read_trace_missing_file_raises(tmp_path):

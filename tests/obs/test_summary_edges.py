@@ -1,7 +1,7 @@
 """Trace edge cases: empty files, single spans, orphans, determinism.
 
-The crash-safety stance of the JSONL sink (flushed line per span, root
-written last) means real traces can arrive truncated -- so the summary
+The JSONL sink writes one line per span and the root last, so a killed
+run's trace can arrive truncated -- so the summary
 and flame paths must degrade deterministically instead of silently
 dropping whole subtrees.
 """
@@ -38,7 +38,7 @@ class TestEmptyTrace:
     def test_empty_trace_file_reads_empty(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_text("", encoding="utf-8")
-        assert obs.read_trace(path) == []
+        assert obs.read_trace(path) == ([], 0)
 
 
 class TestSingleSpan:

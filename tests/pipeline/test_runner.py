@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bugdb.enums import Application
-from repro.harness.telemetry import Telemetry
+from repro.obs import MetricsRegistry
 from repro.pipeline import (
     ParseMineCache,
     archive_digest,
@@ -168,7 +168,7 @@ class TestSummaryLines:
         assert "cache: mine hit" in warm.summary_lines()
 
     def test_telemetry_counters(self, tmp_path, mysql):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         mine_application(
             Application.MYSQL,
             scale=MYSQL_SCALE,

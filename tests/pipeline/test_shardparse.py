@@ -4,7 +4,7 @@ import pytest
 
 from repro.bugdb.enums import Application
 from repro.bugdb.textindex import TextIndex
-from repro.harness.telemetry import Telemetry
+from repro.obs import MetricsRegistry
 from repro.mining.keywords import MYSQL_STUDY_KEYWORDS
 from repro.mining.mysql import message_search_text
 from repro.pipeline import format_for, parse_archive_sharded
@@ -81,7 +81,7 @@ class TestPartialIndex:
 
 class TestTelemetryAndShape:
     def test_parallel_run_records_telemetry(self, archives):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         fmt = format_for(Application.MYSQL)
         parsed = parse_archive_sharded(
             fmt, archives[Application.MYSQL], workers=4, telemetry=telemetry
@@ -93,7 +93,7 @@ class TestTelemetryAndShape:
         assert 0.0 < telemetry.gauge_value("parse.shard_utilization") <= 1.0
 
     def test_serial_run_reports_one_shard(self, archives):
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         fmt = format_for(Application.APACHE)
         parsed = parse_archive_sharded(
             fmt, archives[Application.APACHE], workers=1, telemetry=telemetry

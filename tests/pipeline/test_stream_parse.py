@@ -4,7 +4,7 @@ import pytest
 
 from repro.bugdb.enums import Application
 from repro.bugdb.segments import SegmentedTextIndex, segmented_equal_to_monolithic
-from repro.harness.telemetry import Telemetry
+from repro.obs import MetricsRegistry
 from repro.mining.keywords import MYSQL_STUDY_KEYWORDS
 from repro.pipeline import (
     format_for,
@@ -83,7 +83,7 @@ class TestStreamedEquivalence:
     def test_telemetry_counters(self, archive_files):
         fmt = format_for(Application.MYSQL)
         path, _ = archive_files[Application.MYSQL]
-        telemetry = Telemetry()
+        telemetry = MetricsRegistry()
         streamed = parse_archive_streamed(
             fmt, path, max_shard_bytes=64 << 10, telemetry=telemetry
         )

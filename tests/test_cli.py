@@ -610,6 +610,37 @@ class TestPerfIntelligenceCommands:
         assert main(["perf", "check", "--db", db, "--warn-only"]) == 0
         assert "warn-only" in capsys.readouterr().out
 
+    def test_corrupt_lines_reported_only_when_present(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A torn line adds one notice per log read; nothing else moves."""
+        monkeypatch.setenv("REPRO_GIT_SHA", "feedface00")
+        db = tmp_path / "perf.jsonl"
+        for name in ("a", "b"):
+            _, trace = self._traced_run(tmp_path, capsys, name)
+            assert main(["perf", "record", "--db", str(db), "--trace", trace]) == 0
+        capsys.readouterr()
+        commands = [
+            (["trace", "summary", trace], 1),
+            (["perf", "report", "--db", str(db)], 1),
+            (["perf", "check", "--db", str(db)], 1),
+            (["slo", "check", "--trace", trace, "--db", str(db), "--warn-only"], 2),
+        ]
+        clean = []
+        for argv, _ in commands:
+            clean.append((main(argv), capsys.readouterr().out))
+        assert not any("corrupt lines skipped" in out for _, out in clean)
+
+        for path in (tmp_path / "b.trace", db):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines.insert(1, '{"torn mid-file\n')
+            path.write_text("".join(lines), encoding="utf-8")
+        for (argv, notices), (code, out) in zip(commands, clean):
+            assert main(argv) == code
+            assert capsys.readouterr().out == (
+                "corrupt lines skipped: 1\n" * notices + out
+            )
+
     def test_perf_check_empty_db(self, capsys, tmp_path):
         assert main([
             "perf", "check", "--db", str(tmp_path / "empty.jsonl"),
