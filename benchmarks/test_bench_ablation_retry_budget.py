@@ -6,12 +6,13 @@ faults: survival rises geometrically with the retry budget and degrades
 as the racy window widens.
 """
 
-from repro.recovery import CheckpointRollback, sweep_race_window, sweep_retry_budget
+from repro.harness.campaigns import run_sweep_race_window, run_sweep_retry_budget
+from repro.recovery import CheckpointRollback
 
 
 def test_bench_ablation_retry_budget(benchmark, study):
     points = benchmark(
-        sweep_retry_budget,
+        run_sweep_retry_budget,
         study,
         lambda budget: CheckpointRollback(max_attempts=budget),
         budgets=(1, 2, 4, 8),
@@ -29,7 +30,7 @@ def test_bench_ablation_retry_budget(benchmark, study):
 
 def test_bench_ablation_race_window(benchmark, study):
     points = benchmark(
-        sweep_race_window,
+        run_sweep_race_window,
         study,
         CheckpointRollback,
         windows=(0.1, 0.5, 0.9),

@@ -12,46 +12,33 @@ Run with::
 """
 
 from repro.corpus import full_study
-from repro.recovery import CheckpointRollback, sweep_race_window, sweep_retry_budget
-from repro.reports import format_table
+from repro.harness.campaigns import run_sweep_race_window, run_sweep_retry_budget
+from repro.recovery import CheckpointRollback
+from repro.recovery.nodes import render_race_window_table, render_retry_budget_table
 
 
 def main() -> None:
     study = full_study()
 
-    budget_points = sweep_retry_budget(
+    budget_points = run_sweep_retry_budget(
         study,
         lambda budget: CheckpointRollback(max_attempts=budget),
         budgets=(1, 2, 3, 4, 6, 8),
         race_window=0.5,
         replications=8,
     )
-    print(
-        format_table(
-            ["retry budget", "timing faults survived", "survival rate"],
-            [
-                [int(point.parameter), f"{point.survived}/{point.total}", f"{point.survival_rate:.0%}"]
-                for point in budget_points
-            ],
-            title="Retry-budget sweep (race window 0.5)",
-        )
-    )
+    print(render_retry_budget_table(budget_points, race_window=0.5))
     print()
 
-    window_points = sweep_race_window(
+    window_points = run_sweep_race_window(
         study,
         CheckpointRollback,
         windows=(0.05, 0.1, 0.25, 0.5, 0.75, 0.95),
         replications=8,
     )
     print(
-        format_table(
-            ["race window", "timing faults survived", "survival rate"],
-            [
-                [point.parameter, f"{point.survived}/{point.total}", f"{point.survival_rate:.0%}"]
-                for point in window_points
-            ],
-            title="Race-window sweep (3 retries)",
+        render_race_window_table(
+            window_points, retries=CheckpointRollback().max_attempts
         )
     )
     print()

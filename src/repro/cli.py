@@ -50,8 +50,8 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.bugdb.enums import Application, FaultClass
-from repro.recovery.nodes import TECHNIQUES as _TECHNIQUES
+from repro.bugdb.enums import Application
+from repro.recovery.nodes import TECHNIQUES as _TECHNIQUES, resolve_technique
 from repro.reports.tableformat import format_table
 from repro.rng import DEFAULT_SEED as _CAMPAIGN_DEFAULT_SEED
 
@@ -233,6 +233,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.harness import ProgressReporter, load_journal
     from repro.harness.campaigns import KIND_REPLAY, run_replay_campaign
     from repro.obs.metrics import MetricsRegistry
+    from repro.recovery.driver import REPLAY_COLUMNS
     from repro.rng import DEFAULT_SEED
 
     if args.workers < 1:
@@ -286,11 +287,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         limit = args.limit
 
     try:
-        factory = _TECHNIQUES[technique_name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown technique {technique_name!r}; choose from " + ", ".join(_TECHNIQUES)
-        ) from None
+        factory = resolve_technique(technique_name)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
 
     study = full_study()
     if application is not None:
@@ -324,14 +323,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     print(
         format_table(
-            ["technique", "EI", "EDN", "EDT", "overall"],
-            [[
-                report.technique,
-                f"{report.survival_rate(FaultClass.ENV_INDEPENDENT):.0%}",
-                f"{report.survival_rate(FaultClass.ENV_DEP_NONTRANSIENT):.0%}",
-                f"{report.survival_rate(FaultClass.ENV_DEP_TRANSIENT):.0%}",
-                f"{report.survival_rate():.1%}",
-            ]],
+            REPLAY_COLUMNS,
+            [report.row()],
             title=f"Campaign replay over {len(faults)} study faults "
             f"(workers={args.workers})",
         )

@@ -19,8 +19,8 @@ journal-aware engine:
 * :mod:`~repro.harness.telemetry` -- progress reporting;
 * :mod:`~repro.harness.engine` -- :func:`run_campaign`, tying the above
   together;
-* :mod:`~repro.harness.campaigns` -- the study's replay experiments
-  ported onto the engine.
+* :mod:`~repro.harness.campaigns` -- the study's replay and sweep
+  experiments on the engine (the only builder of their work units).
 
 **Determinism contract**: seeds are derived per work unit from the
 campaign's base seed and the unit's identity -- never from worker
@@ -39,13 +39,10 @@ from repro.harness.campaigns import (
     KIND_REPLAY,
     KIND_RETRY_BUDGET,
     ReplayContext,
-    build_race_window_units,
     build_replay_units,
-    build_retry_budget_units,
     outcome_from_result,
     replay_runner,
     run_replay_campaign,
-    run_replay_study,
     run_sweep_race_window,
     run_sweep_retry_budget,
 )
@@ -63,9 +60,7 @@ __all__ = [
     "WorkUnit",
     "WorkerPool",
     "assemble_results",
-    "build_race_window_units",
     "build_replay_units",
-    "build_retry_budget_units",
     "check_unique",
     "fork_available",
     "load_journal",
@@ -73,7 +68,6 @@ __all__ = [
     "replay_runner",
     "run_campaign",
     "run_replay_campaign",
-    "run_replay_study",
     "run_sweep_race_window",
     "run_sweep_retry_budget",
     "shard_count_for",

@@ -1,16 +1,18 @@
 """Replay-shaped campaigns: the study experiments on the engine.
 
-This module turns the three serial entry points of
-:mod:`repro.recovery.driver` and :mod:`repro.recovery.campaign` --
-``replay_study``, ``sweep_retry_budget``, ``sweep_race_window`` -- into
-work-unit streams for :func:`repro.harness.engine.run_campaign`.  The
-public functions here preserve the legacy semantics bit-for-bit:
+The one place that turns study faults into replay or sweep work units
+and runs them on :func:`repro.harness.engine.run_campaign`: the
+full-study replay (:func:`run_replay_campaign`, which
+``repro.recovery.driver.replay_study`` calls) and the two §6.3 sweeps
+(:func:`run_sweep_retry_budget`, :func:`run_sweep_race_window`, which
+the ``sweep.*`` grid points call).  They preserve the legacy semantics
+bit-for-bit:
 
 * unit seeds are derived with exactly the legacy labels
   (``replay:{fault_id}``, ``budget:{b}:{fault_id}:{r}``,
   ``window:{w}:{fault_id}:{r}``), so every replay sees the same
   :class:`~repro.envmodel.environment.Environment` stream as the serial
-  loops did;
+  loops did, and journals written by earlier builds still resume;
 * each unit builds a fresh technique from the caller's factory, as the
   serial loops did;
 * results are reassembled in submission order, so reports compare equal
@@ -120,74 +122,36 @@ def build_replay_units(
     ]
 
 
-def build_retry_budget_units(
+def _build_sweep_units(
+    kind: str,
+    label: str,
+    axis: str,
+    values: Sequence[Any],
     faults: Sequence[StudyFault],
     technique_name: str,
     *,
-    budgets: Sequence[int],
-    race_window: float,
     replications: int,
     seed: int,
+    fixed: Mapping[str, Any],
 ) -> list[WorkUnit]:
-    """Units for the retry-budget sweep (duplicate budgets collapsed)."""
-    units = []
-    for budget in _unique(budgets):
-        for fault in faults:
-            for replication in range(replications):
-                units.append(
-                    WorkUnit.build(
-                        KIND_RETRY_BUDGET,
-                        fault.fault_id,
-                        technique=technique_name,
-                        params={
-                            "budget": budget,
-                            "race_window": race_window,
-                            "replication": replication,
-                        },
-                        seed=derive_seed(
-                            seed, f"budget:{budget}:{fault.fault_id}:{replication}"
-                        ),
-                    )
-                )
-    return units
+    """One unit per ``(value, fault, replication)`` of a one-axis sweep.
 
-
-def build_race_window_units(
-    faults: Sequence[StudyFault],
-    technique_name: str,
-    *,
-    windows: Sequence[float],
-    replications: int,
-    seed: int,
-) -> list[WorkUnit]:
-    """Units for the race-window sweep (duplicate windows collapsed)."""
-    units = []
-    for window in _unique(windows):
-        for fault in faults:
-            for replication in range(replications):
-                units.append(
-                    WorkUnit.build(
-                        KIND_RACE_WINDOW,
-                        fault.fault_id,
-                        technique=technique_name,
-                        params={"race_window": window, "replication": replication},
-                        seed=derive_seed(
-                            seed, f"window:{window}:{fault.fault_id}:{replication}"
-                        ),
-                    )
-                )
-    return units
-
-
-def _unique(values: Sequence[Any]) -> list[Any]:
-    """Order-preserving dedup (identical sweep points share verdicts)."""
-    seen = set()
-    out = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            out.append(value)
-    return out
+    Duplicate axis values collapse (identical sweep points share
+    verdicts).  Seeds derive from ``{label}:{value}:{fault_id}:{replication}``
+    and params are ``{axis: value, **fixed, "replication": r}``.
+    """
+    return [
+        WorkUnit.build(
+            kind,
+            fault.fault_id,
+            technique=technique_name,
+            params={axis: value, **fixed, "replication": replication},
+            seed=derive_seed(seed, f"{label}:{value}:{fault.fault_id}:{replication}"),
+        )
+        for value in dict.fromkeys(values)
+        for fault in faults
+        for replication in range(replications)
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -208,8 +172,8 @@ def run_replay_campaign(
 ) -> ReplayReport:
     """Replay ``faults`` under fresh instances of one technique.
 
-    The campaign-scoped generalisation of ``replay_study``: any fault
-    subset, optional parallelism, optional resumable journal.
+    Any fault subset (``replay_study`` passes all of them), optional
+    parallelism, optional resumable journal.
     """
     # One up-front factory call fixes the technique name even when the
     # fault list is empty (the legacy loop reported "" in that case).
@@ -243,28 +207,6 @@ def run_replay_campaign(
     )
 
 
-def run_replay_study(
-    study: StudyData,
-    technique_factory: Callable[[], RecoveryTechnique],
-    *,
-    seed: int = DEFAULT_SEED,
-    workers: int = 1,
-    journal_path: str | None = None,
-    telemetry: MetricsRegistry | None = None,
-    progress: ProgressReporter | None = None,
-) -> ReplayReport:
-    """The full-study replay on the engine (`replay_study`'s core)."""
-    return run_replay_campaign(
-        study.all_faults(),
-        technique_factory,
-        seed=seed,
-        workers=workers,
-        journal_path=journal_path,
-        telemetry=telemetry,
-        progress=progress,
-    )
-
-
 def _sweep_points(
     campaign: CampaignResult,
     parameter_name: str,
@@ -288,6 +230,56 @@ def _sweep_points(
     return points
 
 
+def _run_sweep(
+    study: StudyData,
+    kind: str,
+    label: str,
+    axis: str,
+    values: Sequence[Any],
+    technique_name: str,
+    technique_for: Callable[[WorkUnit], RecoveryTechnique],
+    *,
+    replications: int,
+    seed: int,
+    fixed: Mapping[str, Any],
+    **run_options: Any,
+) -> list[SweepPoint]:
+    """Sweep ``axis`` over ``values`` on the study's timing faults.
+
+    ``run_options`` (workers, journal path, telemetry, progress) pass
+    straight to :func:`run_campaign`.  Returns one point per entry of
+    ``values``, in order.
+    """
+    faults = timing_faults(study)
+    units = _build_sweep_units(
+        kind,
+        label,
+        axis,
+        values,
+        faults,
+        technique_name,
+        replications=replications,
+        seed=seed,
+        fixed=fixed,
+    )
+    campaign = run_campaign(
+        units,
+        replay_runner,
+        context=ReplayContext(
+            faults={fault.fault_id: fault for fault in faults},
+            technique_for=technique_for,
+        ),
+        journal_meta={
+            "kind": kind,
+            "technique": technique_name,
+            "seed": seed,
+            "total_units": len(units),
+        },
+        **run_options,
+    )
+    return _sweep_points(campaign, axis, list(values))
+
+
 def run_sweep_retry_budget(
     study: StudyData,
     technique_factory: Callable[[int], RecoveryTechnique],
@@ -301,37 +293,27 @@ def run_sweep_retry_budget(
     telemetry: MetricsRegistry | None = None,
     progress: ProgressReporter | None = None,
 ) -> list[SweepPoint]:
-    """The retry-budget sweep on the engine (`sweep_retry_budget`'s core)."""
-    faults = timing_faults(study)
-    technique_name = technique_factory(max(budgets)).name if budgets else ""
-    units = build_retry_budget_units(
-        faults,
-        technique_name,
-        budgets=budgets,
-        race_window=race_window,
+    """Sweep the recovery-attempt budget over the timing faults.
+
+    ``technique_factory`` builds a technique given ``max_attempts``;
+    every unit replays with the racy window fixed at ``race_window``.
+    """
+    return _run_sweep(
+        study,
+        KIND_RETRY_BUDGET,
+        "budget",
+        "budget",
+        budgets,
+        technique_factory(max(budgets)).name if budgets else "",
+        lambda unit: technique_factory(unit.params_dict()["budget"]),
         replications=replications,
         seed=seed,
-    )
-    context = ReplayContext(
-        faults={fault.fault_id: fault for fault in faults},
-        technique_for=lambda unit: technique_factory(unit.params_dict()["budget"]),
-    )
-    campaign = run_campaign(
-        units,
-        replay_runner,
-        context=context,
+        fixed={"race_window": race_window},
         workers=workers,
         journal_path=journal_path,
-        journal_meta={
-            "kind": KIND_RETRY_BUDGET,
-            "technique": technique_name,
-            "seed": seed,
-            "total_units": len(units),
-        },
         telemetry=telemetry,
         progress=progress,
     )
-    return _sweep_points(campaign, "budget", list(budgets))
 
 
 def run_sweep_race_window(
@@ -346,33 +328,20 @@ def run_sweep_race_window(
     telemetry: MetricsRegistry | None = None,
     progress: ProgressReporter | None = None,
 ) -> list[SweepPoint]:
-    """The race-window sweep on the engine (`sweep_race_window`'s core)."""
-    faults = timing_faults(study)
-    technique_name = technique_factory().name
-    units = build_race_window_units(
-        faults,
-        technique_name,
-        windows=windows,
+    """Sweep the racy-window width over the timing faults."""
+    return _run_sweep(
+        study,
+        KIND_RACE_WINDOW,
+        "window",
+        "race_window",
+        windows,
+        technique_factory().name,
+        lambda unit: technique_factory(),
         replications=replications,
         seed=seed,
-    )
-    context = ReplayContext(
-        faults={fault.fault_id: fault for fault in faults},
-        technique_for=lambda unit: technique_factory(),
-    )
-    campaign = run_campaign(
-        units,
-        replay_runner,
-        context=context,
+        fixed={},
         workers=workers,
         journal_path=journal_path,
-        journal_meta={
-            "kind": KIND_RACE_WINDOW,
-            "technique": technique_name,
-            "seed": seed,
-            "total_units": len(units),
-        },
         telemetry=telemetry,
         progress=progress,
     )
-    return _sweep_points(campaign, "race_window", list(windows))

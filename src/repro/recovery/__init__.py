@@ -32,12 +32,7 @@ from repro.recovery.availability import (
     AvailabilityResult,
     simulate_availability,
 )
-from repro.recovery.campaign import (
-    SweepPoint,
-    sweep_race_window,
-    sweep_retry_budget,
-    timing_faults,
-)
+from repro.recovery.campaign import SweepPoint, timing_faults
 from repro.recovery.error_latency import (
     LatencyExperiment,
     LatencyOutcome,
@@ -68,8 +63,6 @@ __all__ = [
     "sweep_rejuvenation_interval",
     "SweepPoint",
     "simulate_availability",
-    "sweep_race_window",
-    "sweep_retry_budget",
     "timing_faults",
     "CheckpointRollback",
     "CheckpointStore",

@@ -31,6 +31,9 @@ from repro.rng import DEFAULT_SEED, derive_seed
 
 TechniqueFactory = Callable[[], RecoveryTechnique]
 
+#: Column headings of the E1 replay table; :meth:`ReplayReport.row` fills one.
+REPLAY_COLUMNS = ("technique", "EI", "EDN", "EDT", "overall")
+
 
 @dataclasses.dataclass(frozen=True)
 class FaultReplayOutcome:
@@ -88,6 +91,16 @@ class ReplayReport:
             for outcome in self.outcomes
             if fault_class is None or outcome.fault_class is fault_class
         )
+
+    def row(self) -> list[str]:
+        """This report's E1 table row, under :data:`REPLAY_COLUMNS`."""
+        return [
+            self.technique,
+            f"{self.survival_rate(FaultClass.ENV_INDEPENDENT):.0%}",
+            f"{self.survival_rate(FaultClass.ENV_DEP_NONTRANSIENT):.0%}",
+            f"{self.survival_rate(FaultClass.ENV_DEP_TRANSIENT):.0%}",
+            f"{self.survival_rate():.1%}",
+        ]
 
 
 def run_replay_attempts(
@@ -199,10 +212,10 @@ def replay_study(
         journal: optional JSONL run-log path; an interrupted campaign
             rerun with the same journal resumes without recomputation.
     """
-    from repro.harness.campaigns import run_replay_study
+    from repro.harness.campaigns import run_replay_campaign
 
-    return run_replay_study(
-        study,
+    return run_replay_campaign(
+        study.all_faults(),
         technique_factory,
         seed=seed,
         workers=1 if workers is None else workers,

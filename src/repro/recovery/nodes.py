@@ -2,22 +2,21 @@
 
 Experiment E1 (the five-technique replay) plus the parameter-grid
 producers behind the ``sweep.*`` families: one memoized node per grid
-point (a single-parameter classic sweep, so its verdicts are identical
-to the same point inside the monolithic sweep -- seeds derive per
-``(parameter, fault, replication)``, never from scheduling) and one
-aggregation node per family rendering the classic sweep table
+point (a single-value :mod:`repro.harness.campaigns` sweep, so its
+verdicts are identical to the same point inside the full sweep -- seeds
+derive per ``(parameter, fault, replication)``, never from scheduling)
+and one aggregation node per family rendering the classic sweep table
 byte-identically from the point payloads.
 
-Also the canonical home of the technique-name registry the CLI and the
-campaign engine share; it used to live as a private dict inside
-``repro.cli``.
+Also the canonical home of the technique-name registry the CLI, the
+serve daemon and the campaign engine share (:data:`TECHNIQUES`,
+:func:`resolve_technique`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, TYPE_CHECKING
+from typing import Any, Callable, Mapping, TYPE_CHECKING
 
-from repro.bugdb.enums import FaultClass
 from repro.recovery import (
     CheckpointRollback,
     ProcessPairs,
@@ -26,7 +25,9 @@ from repro.recovery import (
     SoftwareRejuvenation,
     replay_study,
 )
-from repro.recovery.campaign import SweepPoint, sweep_race_window, sweep_retry_budget
+from repro.recovery.base import RecoveryTechnique
+from repro.recovery.campaign import SweepPoint
+from repro.recovery.driver import REPLAY_COLUMNS
 from repro.recovery.rejuvenation_schedule import (
     LeakModel,
     RejuvenationPolicy,
@@ -50,13 +51,18 @@ TECHNIQUES = {
 ALL_TECHNIQUES = ",".join(TECHNIQUES)
 
 
-def technique_factory(name: str) -> Any:
-    """Resolve one technique name.
+def resolve_technique(name: str) -> Callable[..., RecoveryTechnique]:
+    """The technique class registered under ``name``.
 
     Raises:
-        KeyError: unknown name (callers render their own error message).
+        ValueError: unknown name; the message lists the valid names.
     """
-    return TECHNIQUES[name]
+    try:
+        return TECHNIQUES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown technique {name!r}; choose from " + ", ".join(TECHNIQUES)
+        ) from None
 
 
 def e1_replay(
@@ -67,29 +73,14 @@ def e1_replay(
     Params:
         techniques: comma-joined technique names, replayed in order.
     """
-    names = params["techniques"].split(",")
     rows = []
     rates: dict[str, float] = {}
-    for name in names:
-        try:
-            factory = TECHNIQUES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown technique {name!r}; choose from " + ", ".join(TECHNIQUES)
-            ) from None
-        report = replay_study(ctx.study, factory)
+    for name in params["techniques"].split(","):
+        report = replay_study(ctx.study, resolve_technique(name))
         rates[report.technique] = report.survival_rate()
-        rows.append(
-            [
-                report.technique,
-                f"{report.survival_rate(FaultClass.ENV_INDEPENDENT):.0%}",
-                f"{report.survival_rate(FaultClass.ENV_DEP_NONTRANSIENT):.0%}",
-                f"{report.survival_rate(FaultClass.ENV_DEP_TRANSIENT):.0%}",
-                f"{report.survival_rate():.1%}",
-            ]
-        )
+        rows.append(report.row())
     text = format_table(
-        ["technique", "EI", "EDN", "EDT", "overall"],
+        REPLAY_COLUMNS,
         rows,
         title="Recovery replay over all 139 study faults",
     )
@@ -152,12 +143,15 @@ def sweep_retry_budget_point(
     """One retry-budget grid point: the classic sweep at a single budget.
 
     Seeds derive per ``(budget, fault, replication)``, so this point's
-    verdicts are bit-identical to the same budget inside the monolithic
-    sweep -- the aggregation node reassembles the classic table from
-    point payloads without re-running anything.
+    verdicts are bit-identical to the same budget inside the full sweep
+    -- the aggregation node reassembles the classic table from point
+    payloads without re-running anything.
     """
+    # Imported here so that importing the CLI does not load the harness.
+    from repro.harness.campaigns import run_sweep_retry_budget
+
     factory = TECHNIQUES[params["technique"]]
-    point = sweep_retry_budget(
+    point = run_sweep_retry_budget(
         ctx.study,
         lambda budget: factory(max_attempts=budget),
         budgets=(int(params["budget"]),),
@@ -176,8 +170,10 @@ def sweep_race_window_point(
     ctx: "StudyContext", inputs: Mapping[str, Any], params: Mapping[str, Any]
 ) -> dict[str, Any]:
     """One race-window grid point: the classic sweep at a single width."""
+    from repro.harness.campaigns import run_sweep_race_window
+
     factory = TECHNIQUES[params["technique"]]
-    point = sweep_race_window(
+    point = run_sweep_race_window(
         ctx.study,
         factory,
         windows=(params["window"],),

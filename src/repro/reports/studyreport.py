@@ -21,7 +21,7 @@ from repro.bugdb.enums import Application, FaultClass
 from repro.corpus.apache import RELEASES as APACHE_RELEASES
 from repro.corpus.loader import StudyData
 from repro.corpus.mysql import RELEASES as MYSQL_RELEASES
-from repro.recovery.driver import ReplayReport
+from repro.recovery.driver import REPLAY_COLUMNS, ReplayReport
 from repro.reports.figures import render_figure
 from repro.reports.tableformat import format_table, render_classification_table
 
@@ -151,19 +151,7 @@ def render_study_report(
     if replay_reports:
         sections.append("Generic-recovery replay (Section 8 future work)")
         sections.append(
-            format_table(
-                ["technique", "EI", "EDN", "EDT", "overall"],
-                [
-                    [
-                        report.technique,
-                        f"{report.survival_rate(FaultClass.ENV_INDEPENDENT):.0%}",
-                        f"{report.survival_rate(FaultClass.ENV_DEP_NONTRANSIENT):.0%}",
-                        f"{report.survival_rate(FaultClass.ENV_DEP_TRANSIENT):.0%}",
-                        f"{report.survival_rate():.1%}",
-                    ]
-                    for report in replay_reports
-                ],
-            )
+            format_table(REPLAY_COLUMNS, [report.row() for report in replay_reports])
         )
         sections.append("")
 
@@ -251,19 +239,7 @@ def render_study_report_markdown(
         parts.append("## Generic-recovery replay (Section 8 future work)")
         parts.append("")
         parts.append(
-            markdown_table(
-                ["technique", "EI", "EDN", "EDT", "overall"],
-                [
-                    [
-                        report.technique,
-                        f"{report.survival_rate(FaultClass.ENV_INDEPENDENT):.0%}",
-                        f"{report.survival_rate(FaultClass.ENV_DEP_NONTRANSIENT):.0%}",
-                        f"{report.survival_rate(FaultClass.ENV_DEP_TRANSIENT):.0%}",
-                        f"{report.survival_rate():.1%}",
-                    ]
-                    for report in replay_reports
-                ],
-            )
+            markdown_table(REPLAY_COLUMNS, [report.row() for report in replay_reports])
         )
         parts.append("")
 

@@ -475,7 +475,7 @@ class StudyService:
 
     def _handle_replay(self, request: Request) -> dict[str, Any]:
         """``replay``: params ``techniques`` (optional comma list)."""
-        from repro.recovery.nodes import TECHNIQUES
+        from repro.recovery.nodes import TECHNIQUES, resolve_technique
 
         techniques = request.params.get("techniques")
         if techniques is None:
@@ -485,10 +485,7 @@ class StudyService:
         else:
             raise ValueError("replay 'techniques' must be a comma-joined string")
         for tech in names:
-            if tech not in TECHNIQUES:
-                raise ValueError(
-                    f"unknown technique {tech!r}; choose from " + ", ".join(TECHNIQUES)
-                )
+            resolve_technique(tech)
         return self._run_node("E1", {"E1": {"techniques": ",".join(names)}})
 
     def _handle_trace_summary(self, request: Request) -> dict[str, Any]:

@@ -8,7 +8,7 @@ derived per work unit, never from worker identity or scheduling order.
 import pytest
 
 from repro.recovery import CheckpointRollback, ProcessPairs, replay_fault, replay_study
-from repro.recovery.campaign import sweep_race_window, sweep_retry_budget
+from repro.harness.campaigns import run_sweep_race_window, run_sweep_retry_budget
 from repro.recovery.driver import ReplayReport
 
 
@@ -57,24 +57,24 @@ class TestReplayStudyTechniqueName:
 class TestSweepDeterminism:
     def test_retry_budget_sweep_parallel_equals_serial(self, study):
         kwargs = dict(budgets=(1, 2, 4), race_window=0.5, replications=4)
-        serial = sweep_retry_budget(
+        serial = run_sweep_retry_budget(
             study, lambda b: CheckpointRollback(max_attempts=b), **kwargs
         )
-        parallel = sweep_retry_budget(
+        parallel = run_sweep_retry_budget(
             study, lambda b: CheckpointRollback(max_attempts=b), workers=3, **kwargs
         )
         assert serial == parallel
 
     def test_race_window_sweep_parallel_equals_serial(self, study):
         kwargs = dict(windows=(0.05, 0.5, 0.95), replications=4)
-        serial = sweep_race_window(study, CheckpointRollback, **kwargs)
-        parallel = sweep_race_window(study, CheckpointRollback, workers=4, **kwargs)
+        serial = run_sweep_race_window(study, CheckpointRollback, **kwargs)
+        parallel = run_sweep_race_window(study, CheckpointRollback, workers=4, **kwargs)
         assert serial == parallel
 
     def test_sweep_point_totals_survive_the_port(self, study):
         from repro.recovery.campaign import timing_faults
 
-        points = sweep_retry_budget(
+        points = run_sweep_retry_budget(
             study,
             lambda b: CheckpointRollback(max_attempts=b),
             budgets=(2,),

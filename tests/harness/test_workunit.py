@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.harness import WorkUnit, check_unique
+from repro.harness import WorkUnit, check_unique, load_journal
+from repro.harness.campaigns import (
+    run_replay_campaign,
+    run_sweep_race_window,
+    run_sweep_retry_budget,
+)
+from repro.recovery import CheckpointRollback
 
 
 class TestBuild:
@@ -59,3 +65,46 @@ class TestCheckUnique:
         unit = WorkUnit.build("replay", "F-1", seed=1)
         with pytest.raises(ValueError, match="duplicate work units"):
             check_unique([unit, unit])
+
+
+#: ``kind -> (fault_id, key, seed)`` of one journaled unit per campaign
+#: kind at base seed 7.  Journal resume matches units by key, so a change
+#: here would orphan every journal written by an earlier build.
+PINNED_UNITS = {
+    "replay": ("APACHE-EI-01", "0b26835b4955fc1e6a905eb00e13f6d4", 7367425535496097459),
+    "retry-budget": ("APACHE-EDT-03", "0f2a2b0efab1eb3064caf3c0e4359e21", 2816375908703921785),
+    "race-window": ("APACHE-EDT-03", "ed994517b3704f7de3fe05fae2586a24", 3192709946972676395),
+}
+
+
+class TestPinnedCampaignKeys:
+    @pytest.fixture(scope="class")
+    def journaled(self, study, tmp_path_factory):
+        """``kind -> {fault_id: (key, seed)}`` from one small journaled run each."""
+        root = tmp_path_factory.mktemp("pinned")
+        run_replay_campaign(
+            study.all_faults()[:1], CheckpointRollback, seed=7,
+            journal_path=str(root / "replay.jsonl"),
+        )
+        run_sweep_retry_budget(
+            study, lambda budget: CheckpointRollback(max_attempts=budget),
+            budgets=(1,), race_window=0.25, replications=1, seed=7,
+            journal_path=str(root / "retry-budget.jsonl"),
+        )
+        run_sweep_race_window(
+            study, CheckpointRollback, windows=(0.05,), replications=1, seed=7,
+            journal_path=str(root / "race-window.jsonl"),
+        )
+        units = {}
+        for kind in PINNED_UNITS:
+            records = load_journal(root / f"{kind}.jsonl").records.values()
+            units[kind] = {
+                record["unit"]["fault_id"]: (record["key"], record["unit"]["seed"])
+                for record in records
+            }
+        return units
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_UNITS))
+    def test_key_and_seed_unchanged(self, journaled, kind):
+        fault_id, key, seed = PINNED_UNITS[kind]
+        assert journaled[kind][fault_id] == (key, seed)

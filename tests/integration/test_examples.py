@@ -12,6 +12,10 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "mine_and_classify.py",
     "recovery_model_sensitivity.py",
+    "heisenbug_sweeps.py",
+    "recovery_replay.py",
+    "availability_simulation.py",
+    "rejuvenation_schedule.py",
 ]
 
 

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.bugdb.enums import TriggerKind
+from repro.harness.campaigns import run_sweep_race_window, run_sweep_retry_budget
 from repro.recovery import CheckpointRollback
-from repro.recovery.campaign import (
-    sweep_race_window,
-    sweep_retry_budget,
-    timing_faults,
-)
+from repro.recovery.campaign import timing_faults
 
 
 class TestTimingFaults:
@@ -32,7 +29,7 @@ class TestTimingFaults:
 class TestRetryBudgetSweep:
     @pytest.fixture(scope="class")
     def points(self, study):
-        return sweep_retry_budget(
+        return run_sweep_retry_budget(
             study,
             lambda budget: CheckpointRollback(max_attempts=budget),
             budgets=(1, 2, 4, 8),
@@ -57,10 +54,10 @@ class TestRetryBudgetSweep:
 
     def test_deterministic(self, study):
         kwargs = dict(budgets=(2,), race_window=0.5, replications=4)
-        first = sweep_retry_budget(
+        first = run_sweep_retry_budget(
             study, lambda b: CheckpointRollback(max_attempts=b), **kwargs
         )
-        second = sweep_retry_budget(
+        second = run_sweep_retry_budget(
             study, lambda b: CheckpointRollback(max_attempts=b), **kwargs
         )
         assert first == second
@@ -68,7 +65,7 @@ class TestRetryBudgetSweep:
 
 class TestRaceWindowSweep:
     def test_survival_degrades_with_wider_window(self, study):
-        points = sweep_race_window(
+        points = run_sweep_race_window(
             study,
             CheckpointRollback,
             windows=(0.05, 0.5, 0.95),
@@ -78,7 +75,7 @@ class TestRaceWindowSweep:
         assert rates[0] > rates[-1]
 
     def test_tiny_window_is_nearly_always_survivable(self, study):
-        points = sweep_race_window(
+        points = run_sweep_race_window(
             study, CheckpointRollback, windows=(0.01,), replications=6
         )
         assert points[0].survival_rate >= 0.95

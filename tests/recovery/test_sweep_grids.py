@@ -11,7 +11,7 @@ import pytest
 from repro.classify import nodes as classify_nodes
 from repro.recovery import LeakModel, sweep_rejuvenation_interval
 from repro.recovery import nodes as recovery_nodes
-from repro.recovery.campaign import sweep_race_window, sweep_retry_budget
+from repro.harness.campaigns import run_sweep_race_window, run_sweep_retry_budget
 from repro.studygraph import StudyContext, run_single_node, run_study
 
 
@@ -22,7 +22,7 @@ def study():
 
 class TestRetryBudgetFamily:
     def test_point_equals_classic_sweep_slice(self, study):
-        classic = sweep_retry_budget(
+        classic = run_sweep_retry_budget(
             study,
             lambda budget: recovery_nodes.TECHNIQUES[
                 recovery_nodes.SWEEP_TECHNIQUE
@@ -37,7 +37,7 @@ class TestRetryBudgetFamily:
         assert payload["total"] == slice_.total
 
     def test_aggregate_renders_the_classic_table(self, study):
-        classic = sweep_retry_budget(
+        classic = run_sweep_retry_budget(
             study,
             lambda budget: recovery_nodes.TECHNIQUES[
                 recovery_nodes.SWEEP_TECHNIQUE
@@ -55,7 +55,7 @@ class TestRetryBudgetFamily:
 class TestRaceWindowFamily:
     def test_aggregate_renders_the_classic_table(self, study):
         factory = recovery_nodes.TECHNIQUES[recovery_nodes.SWEEP_TECHNIQUE]
-        classic = sweep_race_window(
+        classic = run_sweep_race_window(
             study,
             factory,
             windows=recovery_nodes.RACE_WINDOWS,

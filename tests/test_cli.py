@@ -1,8 +1,17 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.harness.journal import JournalWriter
+from repro.recovery.nodes import TECHNIQUES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestTableCommand:
@@ -184,6 +193,37 @@ class TestCampaignCommand:
     def test_resume_requires_existing_journal(self, tmp_path):
         with pytest.raises(SystemExit, match="no journal"):
             main(["campaign", "resume", "--journal", str(tmp_path / "absent.jsonl")])
+
+    def test_run_rejects_unknown_technique(self, capsys):
+        # argparse's choices reject the name before the handler runs.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "run", "--technique", "magic"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'magic'" in capsys.readouterr().err
+
+    def test_resume_of_unknown_technique_names_the_choices(self, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        JournalWriter(journal, meta={"kind": "replay", "technique": "magic", "seed": 1})
+        expected = "unknown technique 'magic'; choose from " + ", ".join(TECHNIQUES)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "resume", "--journal", str(journal)])
+        assert excinfo.value.code == expected
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_the_harness(self):
+        # Grid points and the campaign command import the harness lazily,
+        # so every CLI invocation that does not replay skips it.
+        probe = "import sys, repro.cli; print('repro.harness' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestReportWithReplay:
