@@ -546,10 +546,7 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
         # and fork-pool workers inherit the interval across the fork.
         resources.configure(args.sample_resources)
     try:
-        targets = nodes if nodes is not None else [
-            node.name for node in registry.experiments()
-        ]
-        closure = registry.topo_order(targets)
+        closure = registry.topo_order(registry.targets(nodes))
         tracing = (
             obs.tracing(args.trace) if args.trace else contextlib.nullcontext()
         )

@@ -87,6 +87,7 @@ from repro.obs.perfdb import (
     record_from_trace,
     throughput_counters,
     throughput_record,
+    traced_node_walls,
 )
 from repro.obs.resources import (
     RESOURCE_KIND,
@@ -195,6 +196,7 @@ __all__ = [
     "summarize_trace",
     "throughput_counters",
     "throughput_record",
+    "traced_node_walls",
     "tracing",
     "uninstall",
     "usage_by_phase",

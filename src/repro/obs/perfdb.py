@@ -384,6 +384,25 @@ def throughput_record(
 # -- building records from traces --------------------------------------- #
 
 
+def traced_node_walls(
+    trace_records: Iterable[Mapping[str, Any]],
+) -> dict[str, float]:
+    """Wall seconds per node from a trace's ``node:*`` spans.
+
+    Repeated executions of one node (a rebuild after payload rot) sum;
+    a span without both ``start`` and ``end`` is skipped.
+    """
+    walls: dict[str, float] = {}
+    for record in trace_records:
+        name = record.get("name", "")
+        if not name.startswith("node:") or "start" not in record or "end" not in record:
+            continue
+        node = name[len("node:"):]
+        seconds = max(0.0, record["end"] - record["start"])
+        walls[node] = walls.get(node, 0.0) + seconds
+    return walls
+
+
 def record_from_trace(
     trace_records: Iterable[dict[str, Any]],
     *,
@@ -428,17 +447,14 @@ def record_from_trace(
         except (TypeError, ValueError):
             workers = 1
 
-    walls: dict[str, float] = {}
+    walls = traced_node_walls(spans)
     stream_walls: dict[str, float] = {}
     stream_totals: dict[str, dict[str, float]] = {}
     for record in spans:
         name = record.get("name", "")
         seconds = max(0.0, record.get("end", 0.0) - record.get("start", 0.0))
         attrs = record.get("attrs", {})
-        if name.startswith("node:"):
-            node = name[len("node:"):]
-            walls[node] = walls.get(node, 0.0) + seconds
-        elif name.startswith("stream:parse:"):
+        if name.startswith("stream:parse:"):
             stream_walls[name] = stream_walls.get(name, 0.0) + seconds
             totals = stream_totals.setdefault(name, {"bytes": 0.0, "records": 0.0})
             for key in ("bytes", "records"):

@@ -5,8 +5,12 @@ text, it returns the mined study set exactly as the serial
 ``parse_archive`` + ``mine_*`` path would, but parses in parallel
 shards, prefilters keywords through the inverted index built as a parse
 by-product, and short-circuits through the content-addressed cache when
-the same bytes were mined before.  :func:`mine_application` is the
-render-first convenience used by the CLI and benchmarks.
+the same bytes were mined before.  :func:`mine_archive_file` does the
+same for an archive file, parsed as streamed byte ranges; both supply a
+digest and a parse call to one cached parse -> mine body, the only
+reader and writer of the ``parse.*`` and ``mine.*`` cache entries.
+:func:`mine_application` is the render-first convenience used by the
+CLI and benchmarks.
 
 Equivalence contract: for every application, any worker count, and any
 cache state, the returned :class:`~repro.mining.pipeline.MiningResult`
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
+from typing import Any, Callable
 
 from repro import obs
 from repro.bugdb.enums import Application
@@ -83,6 +88,10 @@ class PipelineRun:
             lines.append(f"mine: {mine.total * 1000:.1f} ms")
         if self.mine_cache_hit:
             lines.append("cache: mine hit")
+        elif self.telemetry.counter("cache.bypassed"):
+            lines.append(
+                "cache: reads bypassed to build the segment index (entries stored)"
+            )
         elif self.telemetry.counter("cache.lookups"):
             parse_state = "hit" if self.parse_cache_hit else "miss"
             lines.append(f"cache: mine miss, parse {parse_state} (entries stored)")
@@ -94,33 +103,35 @@ class PipelineRun:
         return lines
 
 
-def mine_archive_text(
+def _mine_cached(
     application: Application,
-    text: str,
+    digest: str,
+    parse: Callable[[ArchiveFormat], Any],
     *,
-    workers: int = 1,
-    cache: ParseMineCache | None = None,
-    telemetry: MetricsRegistry | None = None,
+    cache: ParseMineCache | None,
+    read_cache: bool,
+    telemetry: MetricsRegistry,
+    **span_attrs: Any,
 ) -> PipelineRun:
-    """Mine raw archive text through the fast path.
+    """The one cache -> parse -> mine -> store body behind both entry points.
 
-    Args:
-        application: which archive format/miner to use.
-        text: the raw archive.
-        workers: parse-shard worker processes (1 = serial reference).
-        cache: optional content-addressed store; hits skip parse+mine.
-        telemetry: optional sink (one is created when omitted).
+    Looks up the mined result, then the parsed records, under
+    ``digest``; on a miss calls ``parse(fmt)`` (returning anything with
+    ``records`` and ``index``), mines, and stores both entries.  With
+    ``read_cache`` False the lookups are skipped (and counted as
+    ``cache.bypassed``) but fresh entries are still stored.
     """
     fmt = format_for(application)
-    telemetry = telemetry if telemetry is not None else MetricsRegistry()
-    digest = archive_digest(text)
-    mine_cache_hit = False
     parse_cache_hit = False
 
     with telemetry.timed("pipeline.wall"), obs.span(
-        f"pipeline:{application.value}", workers=workers
+        f"pipeline:{application.value}", **span_attrs
     ) as pipeline_span:
-        if cache is not None:
+        records = None
+        index = None
+        if cache is not None and not read_cache:
+            telemetry.count("cache.bypassed")
+        elif cache is not None:
             telemetry.count("cache.lookups")
             payload = cache.load(digest, fmt.mine_tag)
             if payload is not None:
@@ -137,9 +148,6 @@ def mine_archive_text(
                 )
             telemetry.count("cache.mine.misses")
 
-        records = None
-        index = None
-        if cache is not None:
             payload = cache.load(digest, fmt.parse_tag)
             if payload is not None:
                 telemetry.count("cache.parse.hits")
@@ -154,9 +162,7 @@ def mine_archive_text(
                 telemetry.count("cache.parse.misses")
 
         if records is None:
-            parsed = parse_archive_sharded(
-                fmt, text, workers=workers, telemetry=telemetry
-            )
+            parsed = parse(fmt)
             records, index = parsed.records, parsed.index
             if cache is not None:
                 with telemetry.timed("cache.store.parse"):
@@ -183,9 +189,40 @@ def mine_archive_text(
         application=application,
         result=result,
         digest=digest,
-        mine_cache_hit=mine_cache_hit,
+        mine_cache_hit=False,
         parse_cache_hit=parse_cache_hit,
         telemetry=telemetry,
+    )
+
+
+def mine_archive_text(
+    application: Application,
+    text: str,
+    *,
+    workers: int = 1,
+    cache: ParseMineCache | None = None,
+    telemetry: MetricsRegistry | None = None,
+) -> PipelineRun:
+    """Mine raw archive text through the fast path.
+
+    Args:
+        application: which archive format/miner to use.
+        text: the raw archive.
+        workers: parse-shard worker processes (1 = serial reference).
+        cache: optional content-addressed store; hits skip parse+mine.
+        telemetry: optional sink (one is created when omitted).
+    """
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
+    return _mine_cached(
+        application,
+        archive_digest(text),
+        lambda fmt: parse_archive_sharded(
+            fmt, text, workers=workers, telemetry=telemetry
+        ),
+        cache=cache,
+        read_cache=True,
+        telemetry=telemetry,
+        workers=workers,
     )
 
 
@@ -221,91 +258,26 @@ def mine_archive_file(
     """
     fmt = format_for(application)
     telemetry = telemetry if telemetry is not None else MetricsRegistry()
-    digest = archive_file_digest(path)
-    parse_cache_hit = False
-
     use_index = index_dir is not None and fmt.index_text is not None
-    need_index = (
-        use_index and SegmentedTextIndex(index_dir).document_count == 0
-    )
-    read_cache = None if need_index else cache
-
-    with telemetry.timed("pipeline.wall"), obs.span(
-        f"pipeline:{application.value}", workers=workers, streaming=True
-    ) as pipeline_span:
-        if cache is not None:
-            telemetry.count("cache.lookups")
-        if read_cache is not None:
-            payload = read_cache.load(digest, fmt.mine_tag)
-            if payload is not None:
-                telemetry.count("cache.mine.hits")
-                pipeline_span.set(mine_cache_hit=True)
-                result = _records.result_from_payload(payload, fmt.item_from_dict)
-                return PipelineRun(
-                    application=application,
-                    result=result,
-                    digest=digest,
-                    mine_cache_hit=True,
-                    parse_cache_hit=False,
-                    telemetry=telemetry,
-                )
-            telemetry.count("cache.mine.misses")
-
-        records = None
-        index = None
-        if read_cache is not None:
-            payload = read_cache.load(digest, fmt.parse_tag)
-            if payload is not None:
-                telemetry.count("cache.parse.hits")
-                parse_cache_hit = True
-                pipeline_span.set(parse_cache_hit=True)
-                with telemetry.timed("parse.decode"):
-                    records = [
-                        fmt.record_from_dict(data)
-                        for data in payload.get("records", [])
-                    ]
-            else:
-                telemetry.count("cache.parse.misses")
-
-        if records is None:
-            parsed = parse_archive_streamed(
-                fmt,
-                path,
-                max_shard_bytes=max_shard_bytes,
-                workers=workers,
-                telemetry=telemetry,
-                index_dir=index_dir if use_index else None,
-                keep_records=True,
-            )
-            records, index = parsed.records, parsed.index
-            if cache is not None:
-                with telemetry.timed("cache.store.parse"):
-                    cache.store(
-                        digest,
-                        fmt.parse_tag,
-                        {"records": [fmt.record_to_dict(r) for r in records]},
-                    )
-
-        with telemetry.timed("mine.wall"), obs.span(
-            f"mine:{application.value}", records=len(records)
-        ):
-            result = fmt.mine(records, index)
-
-        if cache is not None:
-            with telemetry.timed("cache.store.mine"):
-                cache.store(
-                    digest,
-                    fmt.mine_tag,
-                    _records.result_to_payload(result, fmt.item_to_dict),
-                )
-
-    return PipelineRun(
-        application=application,
-        result=result,
-        digest=digest,
-        mine_cache_hit=False,
-        parse_cache_hit=parse_cache_hit,
+    return _mine_cached(
+        application,
+        archive_file_digest(path),
+        lambda fmt: parse_archive_streamed(
+            fmt,
+            path,
+            max_shard_bytes=max_shard_bytes,
+            workers=workers,
+            telemetry=telemetry,
+            index_dir=index_dir if use_index else None,
+            keep_records=True,
+        ),
+        cache=cache,
+        read_cache=not (
+            use_index and SegmentedTextIndex(index_dir).document_count == 0
+        ),
         telemetry=telemetry,
+        workers=workers,
+        streaming=True,
     )
 
 

@@ -40,7 +40,6 @@ from repro.studygraph.scheduler import (
     run_single_node,
     run_study,
     study_status,
-    traced_node_walls,
 )
 
 __all__ = [
@@ -66,5 +65,4 @@ __all__ = [
     "run_single_node",
     "run_study",
     "study_status",
-    "traced_node_walls",
 ]

@@ -1,8 +1,9 @@
 """Node-by-node drift report between two study memo caches.
 
-``diff_caches`` walks the study graph in topological order and resolves
-each node's memo entry in two caches independently, chaining digests
-exactly the way :func:`~repro.studygraph.scheduler.study_status` does.
+``diff_caches`` resolves each node's memo entry in two caches
+independently with :func:`~repro.studygraph.scheduler.resolve_memo`,
+the same walk ``study status`` reads and the same validity check
+``study run`` applies.
 Because memo keys are content digests over (name, version, params,
 input digests), two caches populated by equivalent runs must resolve
 every node to the same digest; any divergence is classified:
@@ -32,9 +33,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.pipeline.cache import ParseMineCache
-from repro.studygraph.artifact import META_TAG
 from repro.studygraph.registry import Registry, default_registry
-from repro.studygraph.scheduler import MEMO_VERSION
+from repro.studygraph.scheduler import resolve_memo
 
 STATE_MATCH = "match"
 STATE_PAYLOAD_DRIFT = "payload-drift"
@@ -122,32 +122,6 @@ class DiffReport:
         return rows
 
 
-def _resolve(
-    cache: ParseMineCache,
-    registry: Registry,
-    order: Sequence[str],
-) -> tuple[dict[str, str], dict[str, float]]:
-    """Chain memo digests through one cache (``study_status`` semantics)."""
-    digests: dict[str, str] = {}
-    walls: dict[str, float] = {}
-    for name in order:
-        node = registry.node(name)
-        if any(dep not in digests for dep in node.deps):
-            continue
-        key = node.cache_digest({dep: digests[dep] for dep in node.deps})
-        meta = cache.load(key, META_TAG)
-        if (
-            meta is not None
-            and meta.get("memo_version") == MEMO_VERSION
-            and "digest" in meta
-        ):
-            digests[name] = meta["digest"]
-            wall = meta.get("wall_seconds")
-            if wall is not None:
-                walls[name] = wall
-    return digests, walls
-
-
 def diff_caches(
     cache_a: str | Path,
     cache_b: str | Path,
@@ -169,29 +143,26 @@ def diff_caches(
         the "zero drift" assertion.
     """
     registry = registry if registry is not None else default_registry()
-    targets = list(nodes) if nodes is not None else [
-        node.name for node in registry.experiments()
-    ]
-    order = registry.topo_order(targets)
-
-    digests_a, walls_a = _resolve(ParseMineCache(cache_a), registry, order)
-    digests_b, walls_b = _resolve(ParseMineCache(cache_b), registry, order)
+    order = registry.topo_order(registry.targets(nodes))
+    resolved_a = resolve_memo(ParseMineCache(cache_a), registry, order)
+    resolved_b = resolve_memo(ParseMineCache(cache_b), registry, order)
 
     diffs: list[NodeDiff] = []
     drifted: set[str] = set()
     for name in order:
         node = registry.node(name)
-        in_a, in_b = name in digests_a, name in digests_b
-        if in_a and in_b:
-            if digests_a[name] == digests_b[name]:
+        meta_a, meta_b = resolved_a.get(name, {}), resolved_b.get(name, {})
+        digest_a, digest_b = meta_a.get("digest"), meta_b.get("digest")
+        if digest_a is not None and digest_b is not None:
+            if digest_a == digest_b:
                 state = STATE_MATCH
             elif any(dep in drifted for dep in node.deps):
                 state = STATE_INHERITED_DRIFT
             else:
                 state = STATE_PAYLOAD_DRIFT
-        elif in_a:
+        elif digest_a is not None:
             state = STATE_ONLY_A
-        elif in_b:
+        elif digest_b is not None:
             state = STATE_ONLY_B
         else:
             state = STATE_ABSENT
@@ -202,10 +173,10 @@ def diff_caches(
                 name=name,
                 kind=node.kind,
                 state=state,
-                digest_a=digests_a.get(name),
-                digest_b=digests_b.get(name),
-                wall_a=walls_a.get(name),
-                wall_b=walls_b.get(name),
+                digest_a=digest_a,
+                digest_b=digest_b,
+                wall_a=meta_a.get("wall_seconds"),
+                wall_b=meta_b.get("wall_seconds"),
             )
         )
     return DiffReport(nodes=tuple(diffs))

@@ -49,17 +49,17 @@ class Registry:
     """A named collection of study-graph nodes.
 
     Structural queries scale to thousands-node grids: dependents are
-    indexed incrementally at registration time and :meth:`topo_order`
-    runs Kahn's algorithm over in-degree counts (O(nodes + edges) per
-    wave set), memoizing the resulting order per target set until the
-    next :meth:`register` invalidates it.
+    indexed incrementally at registration time and :meth:`waves` runs
+    Kahn's algorithm over in-degree counts (O(nodes + edges) per target
+    set), memoizing the partition per target set until the next
+    :meth:`register` invalidates it.
     """
 
     def __init__(self, nodes: Iterable[NodeSpec] = ()):
         self._nodes: dict[str, NodeSpec] = {}
         self._dependents: dict[str, list[str]] = {}
         self._families: dict[str, GridFamily] = {}
-        self._topo_cache: dict[tuple[str, ...] | None, list[str]] = {}
+        self._topo_cache: dict[tuple[str, ...] | None, list[list[str]]] = {}
         for node in nodes:
             self.register(node)
 
@@ -176,14 +176,26 @@ class Registry:
             stack.extend(self.node(name).deps)
         return [name for name in self._nodes if name in needed]
 
-    def topo_order(self, targets: Iterable[str] | None = None) -> list[str]:
-        """Dependency-respecting order over the closure of ``targets``.
+    def targets(self, nodes: Iterable[str] | None = None) -> list[str]:
+        """``nodes`` as a list, or every experiment when None.
 
-        Deterministic: the order is wave-structured (every node lands
-        after the wave containing its last dependency) with registration
+        The one place the "no targets means the whole study" rule lives:
+        ``study run``, ``study status``, ``study diff`` and ``perf
+        record`` all resolve their targets here.
+        """
+        if nodes is not None:
+            return list(nodes)
+        return [node.name for node in self.experiments()]
+
+    def waves(self, targets: Iterable[str] | None = None) -> list[list[str]]:
+        """Dependency waves over the closure of ``targets``.
+
+        Wave ``k`` holds every node whose last dependency lands in wave
+        ``k - 1`` (Kahn's algorithm over in-degree counts), registration
         order breaking ties inside each wave, so the serial reference
-        execution is reproducible.  Orders are memoized per target set
-        and invalidated by :meth:`register`; callers receive a copy.
+        execution is reproducible.  ``None`` means every registered
+        node.  Waves are memoized per target set and invalidated by
+        :meth:`register`; callers receive copies.
 
         Raises:
             GraphError: on a dependency cycle.
@@ -191,7 +203,7 @@ class Registry:
         key = None if targets is None else tuple(sorted(set(targets)))
         cached = self._topo_cache.get(key)
         if cached is not None:
-            return list(cached)
+            return [list(wave) for wave in cached]
         names = self.closure(key) if key is not None else self.names()
         in_set = set(names)
         position = {name: index for index, name in enumerate(names)}
@@ -202,10 +214,10 @@ class Registry:
             indegree[name] = len(deps)
             for dep in deps:
                 dependents[dep].append(name)
-        order: list[str] = []
+        waves: list[list[str]] = []
         wave = [name for name in names if indegree[name] == 0]
         while wave:
-            order.extend(wave)
+            waves.append(wave)
             unlocked: list[str] = []
             for name in wave:
                 for child in dependents[name]:
@@ -213,14 +225,22 @@ class Registry:
                     if indegree[child] == 0:
                         unlocked.append(child)
             wave = sorted(unlocked, key=position.__getitem__)
-        if len(order) != len(names):
-            remaining = in_set.difference(order)
+        remaining = [name for name in names if indegree[name]]
+        if remaining:
             raise GraphError(
                 "dependency cycle among study-graph nodes: "
                 + ", ".join(sorted(remaining))
             )
-        self._topo_cache[key] = order
-        return list(order)
+        self._topo_cache[key] = waves
+        return [list(wave) for wave in waves]
+
+    def topo_order(self, targets: Iterable[str] | None = None) -> list[str]:
+        """The flattened :meth:`waves`: a dependency-respecting order.
+
+        Raises:
+            GraphError: on a dependency cycle.
+        """
+        return [name for wave in self.waves(targets) for name in wave]
 
     def edges(self) -> list[tuple[str, str]]:
         """``(dependency, node)`` pairs for every declared edge."""

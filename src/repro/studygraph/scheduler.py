@@ -3,9 +3,9 @@
 :func:`run_study` executes a set of target nodes (every registered
 experiment by default) plus their dependency closure:
 
-1. the closure is topo-sorted (:meth:`~repro.studygraph.registry.
-   Registry.topo_order`) and executed in dependency *waves* -- every
-   node whose inputs are resolved runs in the current wave;
+1. the closure is partitioned into dependency *waves* by
+   :meth:`~repro.studygraph.registry.Registry.waves` -- every node
+   whose inputs are resolved runs in the current wave;
 2. each wave's cache misses run as self-describing
    :class:`~repro.harness.workunit.WorkUnit`\\ s on the existing
    :mod:`repro.harness` campaign engine, so node execution inherits the
@@ -15,7 +15,10 @@ experiment by default) plus their dependency closure:
    (name, version, params, input artifact digests).  Hits resolve from
    a tiny metadata entry -- the payload itself is loaded lazily, only
    if a downstream miss (or a requested output) needs it, so a fully
-   warm re-run does no heavy deserialization at all.
+   warm re-run does no heavy deserialization at all.  One check
+   (:func:`_memo_meta`) decides whether a metadata entry is a hit, and
+   ``study status``, ``study diff`` and ``perf record`` read the same
+   check through :func:`resolve_memo`.
 
 Equivalence contract: for any worker count and any cache state, every
 node's payload is identical to the serial cold execution -- producers
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro import obs
 from repro.obs import resources as obs_resources
@@ -35,6 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.harness.engine import run_campaign
 from repro.harness.telemetry import ProgressReporter
 from repro.harness.workunit import WorkUnit
+from repro.pipeline.cache import ParseMineCache
 from repro.studygraph.artifact import (
     DATA_TAG,
     META_TAG,
@@ -265,11 +269,10 @@ def run_study(
     """
     context = context if context is not None else StudyContext.default()
     registry = registry if registry is not None else default_registry()
-    targets = list(nodes) if nodes is not None else [
-        node.name for node in registry.experiments()
-    ]
+    targets = registry.targets(nodes)
     outputs = list(outputs) if outputs is not None else list(targets)
-    order = registry.topo_order(targets)
+    waves = registry.waves(targets)
+    order = [name for wave in waves for name in wave]
     for name in outputs:
         if name not in order:
             raise GraphError(
@@ -283,22 +286,6 @@ def run_study(
     store = _make_store(context, registry, runs)
     node_map = {name: registry.node(name) for name in order}
 
-    # In-degree bookkeeping: the reverse-dependency index is built once
-    # and each finished node decrements its dependents, so computing the
-    # next wave costs O(edges resolved) instead of rescanning every
-    # remaining node's dep list per wave.
-    position = {name: index for index, name in enumerate(order)}
-    indegree: dict[str, int] = {}
-    dependents: dict[str, list[str]] = {name: [] for name in order}
-    for name in order:
-        deps = node_map[name].deps
-        indegree[name] = len(deps)
-        for dep in deps:
-            dependents[dep].append(name)
-
-    waves = 0
-    resolved = 0
-    ready = [name for name in order if indegree[name] == 0]
     if monitor is not None:
         monitor.run_started(
             total=len(order), workers=context.workers, pending=list(order)
@@ -306,12 +293,11 @@ def run_study(
     with telemetry.timed("studygraph.wall"), obs.span(
         "study.run", nodes=len(order), targets=len(targets), workers=context.workers
     ):
-        while ready:
-            waves += 1
+        for index, ready in enumerate(waves, start=1):
             if monitor is not None:
-                monitor.wave_started(waves, ready=len(ready))
+                monitor.wave_started(index, ready=len(ready))
 
-            with obs.span("wave", index=waves, ready=len(ready)) as wave_span:
+            with obs.span("wave", index=index, ready=len(ready)) as wave_span:
                 to_run: list[tuple[str, str]] = []
                 for name in ready:
                     node = node_map[name]
@@ -319,16 +305,9 @@ def run_study(
                         {dep: digests[dep] for dep in node.deps}
                     )
                     with obs.span(f"memo:{name}") as memo_span:
-                        meta = (
-                            cache.load(key, META_TAG) if cache is not None else None
-                        )
-                        hit = (
-                            meta is not None
-                            and meta.get("memo_version") == MEMO_VERSION
-                            and "digest" in meta
-                        )
-                        memo_span.set(hit=hit)
-                    if hit:
+                        meta = _memo_meta(cache, key)
+                        memo_span.set(hit=meta is not None)
+                    if meta is not None:
                         digests[name] = meta["digest"]
                         runs[name] = NodeRun(
                             name, STATUS_CACHED, meta["digest"], key,
@@ -402,22 +381,8 @@ def run_study(
                                 )
                             cache.store(keys[name], META_TAG, meta_entry)
 
-            resolved += len(ready)
-            unlocked: list[str] = []
-            for name in ready:
-                for child in dependents[name]:
-                    indegree[child] -= 1
-                    if indegree[child] == 0:
-                        unlocked.append(child)
-            ready = sorted(unlocked, key=position.__getitem__)
             if progress is not None:
                 progress.update(len(digests))
-
-        if resolved != len(order):  # topo_order guarantees progress; belt and braces
-            raise GraphError(
-                "scheduler stalled; unresolved nodes: "
-                + ", ".join(name for name in order if name not in digests)
-            )
 
     if progress is not None:
         progress.finish()
@@ -428,7 +393,7 @@ def run_study(
         runs=ordered_runs,
         outputs={name: store.get(name) for name in outputs},
         telemetry=telemetry,
-        waves=waves,
+        waves=len(waves),
     )
 
 
@@ -473,6 +438,48 @@ def run_single_node(
     return result.outputs[name]
 
 
+def _memo_meta(
+    cache: ParseMineCache | None, key: str
+) -> dict[str, Any] | None:
+    """The memo metadata entry under ``key``, or None unless it is valid.
+
+    The one memo-validity rule: an entry counts only when it carries the
+    current :data:`MEMO_VERSION` and an output digest.  Every reader of
+    ``sgmeta`` entries goes through here.
+    """
+    if cache is None:
+        return None
+    meta = cache.load(key, META_TAG)
+    if meta is None or meta.get("memo_version") != MEMO_VERSION or "digest" not in meta:
+        return None
+    return meta
+
+
+def resolve_memo(
+    cache: ParseMineCache | None,
+    registry: Registry,
+    order: Sequence[str],
+) -> dict[str, dict[str, Any]]:
+    """Chain memo keys through ``cache`` without executing anything.
+
+    Walks ``order`` (a topological order) deriving each node's memo key
+    from its inputs' resolved digests, exactly as :func:`run_study`
+    does, and returns ``{node: metadata}`` for every node whose entry
+    is valid.  A node whose inputs do not all resolve is left out: its
+    key cannot be computed.
+    """
+    resolved: dict[str, dict[str, Any]] = {}
+    for name in order:
+        node = registry.node(name)
+        if any(dep not in resolved for dep in node.deps):
+            continue
+        key = node.cache_digest({dep: resolved[dep]["digest"] for dep in node.deps})
+        meta = _memo_meta(cache, key)
+        if meta is not None:
+            resolved[name] = meta
+    return resolved
+
+
 def study_status(
     context: StudyContext,
     *,
@@ -482,10 +489,10 @@ def study_status(
 ) -> list[list[str]]:
     """Per-node memo state without executing anything.
 
-    Walks the closure in topo order resolving digests from metadata
-    entries alone.  A node is ``cached`` when its memo entry exists,
-    ``missing`` when its inputs resolve but no entry does, and
-    ``unknown`` when an upstream miss makes its key uncomputable.
+    Reads the :func:`resolve_memo` walk.  A node is ``cached`` when its
+    memo entry resolves, ``missing`` when its inputs resolve but no
+    entry does, and ``unknown`` when an upstream miss makes its key
+    uncomputable.
 
     Returns:
         ``[node, kind, state, digest-or-"-", wall-ms-or-"-"]`` rows; the
@@ -497,65 +504,33 @@ def study_status(
         time sit side by side.
     """
     registry = registry if registry is not None else default_registry()
-    targets = list(nodes) if nodes is not None else [
-        node.name for node in registry.experiments()
-    ]
-    order = registry.topo_order(targets)
+    order = registry.topo_order(registry.targets(nodes))
+    resolved = resolve_memo(context.cache, registry, order)
     traced = (
-        traced_node_walls(trace_records) if trace_records is not None else None
+        obs.traced_node_walls(trace_records) if trace_records is not None else None
     )
-    digests: dict[str, str] = {}
     rows: list[list[str]] = []
     for name in order:
         node = registry.node(name)
-        if any(dep not in digests for dep in node.deps):
-            row = [name, node.kind, "unknown", "-", "-"]
+        meta = resolved.get(name)
+        if meta is not None:
+            wall = meta.get("wall_seconds")
+            row = [
+                name,
+                node.kind,
+                "cached",
+                meta["digest"][:12],
+                f"{wall * 1000:.1f}" if wall is not None else "-",
+            ]
+        elif all(dep in resolved for dep in node.deps):
+            row = [name, node.kind, "missing", "-", "-"]
         else:
-            key = node.cache_digest({dep: digests[dep] for dep in node.deps})
-            meta = (
-                context.cache.load(key, META_TAG)
-                if context.cache is not None
-                else None
-            )
-            if (
-                meta is not None
-                and meta.get("memo_version") == MEMO_VERSION
-                and "digest" in meta
-            ):
-                digests[name] = meta["digest"]
-                wall = meta.get("wall_seconds")
-                row = [
-                    name,
-                    node.kind,
-                    "cached",
-                    meta["digest"][:12],
-                    f"{wall * 1000:.1f}" if wall is not None else "-",
-                ]
-            else:
-                row = [name, node.kind, "missing", "-", "-"]
+            row = [name, node.kind, "unknown", "-", "-"]
         if traced is not None:
             seconds = traced.get(name)
             row.append(f"{seconds * 1000:.1f}" if seconds is not None else "-")
         rows.append(row)
     return rows
-
-
-def traced_node_walls(
-    trace_records: Sequence[Mapping[str, Any]],
-) -> dict[str, float]:
-    """Wall seconds per node from a trace's ``node:*`` spans.
-
-    Repeated executions of one node (a rebuild after payload rot) sum.
-    """
-    walls: dict[str, float] = {}
-    for record in trace_records:
-        name = record.get("name", "")
-        if not name.startswith("node:") or "start" not in record or "end" not in record:
-            continue
-        node = name[len("node:"):]
-        seconds = max(0.0, record.get("end", 0.0) - record.get("start", 0.0))
-        walls[node] = walls.get(node, 0.0) + seconds
-    return walls
 
 
 def memo_walls(
@@ -566,31 +541,15 @@ def memo_walls(
 ) -> dict[str, float]:
     """Recorded producer wall seconds for memo-satisfied nodes.
 
-    The same metadata walk as :func:`study_status`, reduced to
-    ``{node: wall_seconds}`` for every node whose memo entry resolves
-    and recorded a producer time -- the join ``repro perf record`` uses
-    to carry cache-satisfied nodes into the perf history.
+    The :func:`resolve_memo` walk reduced to ``{node: wall_seconds}``
+    for every node whose memo entry resolves and recorded a producer
+    time -- the join ``repro perf record`` uses to carry
+    cache-satisfied nodes into the perf history.
     """
     registry = registry if registry is not None else default_registry()
-    targets = list(nodes) if nodes is not None else [
-        node.name for node in registry.experiments()
-    ]
-    if context.cache is None:
-        return {}
-    digests: dict[str, str] = {}
-    walls: dict[str, float] = {}
-    for name in registry.topo_order(targets):
-        node = registry.node(name)
-        if any(dep not in digests for dep in node.deps):
-            continue
-        key = node.cache_digest({dep: digests[dep] for dep in node.deps})
-        meta = context.cache.load(key, META_TAG)
-        if (
-            meta is not None
-            and meta.get("memo_version") == MEMO_VERSION
-            and "digest" in meta
-        ):
-            digests[name] = meta["digest"]
-            if meta.get("wall_seconds") is not None:
-                walls[name] = float(meta["wall_seconds"])
-    return walls
+    order = registry.topo_order(registry.targets(nodes))
+    return {
+        name: float(meta["wall_seconds"])
+        for name, meta in resolve_memo(context.cache, registry, order).items()
+        if meta.get("wall_seconds") is not None
+    }

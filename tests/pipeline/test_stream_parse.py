@@ -225,6 +225,13 @@ class TestMineArchiveFile:
             Application.MYSQL, path, cache=cache, index_dir=index_dir
         )
         assert not warm.mine_cache_hit
+        # The bypass is reported, and no lookup is counted that never ran.
+        assert warm.telemetry.counter("cache.lookups") == 0
+        assert warm.telemetry.counter("cache.bypassed") == 1
+        assert (
+            "cache: reads bypassed to build the segment index (entries stored)"
+            in warm.summary_lines()
+        )
         assert (index_dir / "manifest.json").exists()
         built = SegmentedTextIndex(index_dir)
         assert built.document_count > 0

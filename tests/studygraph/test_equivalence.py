@@ -11,7 +11,12 @@ studygraph benchmark and the CI smoke job).
 import pytest
 
 from repro.cli import main
-from repro.studygraph import StudyContext, run_single_node, run_study
+from repro.studygraph import (
+    StudyContext,
+    default_registry,
+    run_single_node,
+    run_study,
+)
 
 #: Fast nodes spanning every subsystem adapter (no full-scale archives).
 CHEAP_NODES = (
@@ -95,3 +100,5 @@ class TestWorkerAndCacheInvariance:
         )
         assert warm.executed == 0
         assert warm.outputs == cold.outputs
+        waves = default_registry().waves(CHEAP_NODES)
+        assert cold.waves == warm.waves == len(waves)

@@ -75,6 +75,24 @@ class TestRegistry:
         registry = Registry([_spec("a", deps=("b",)), _spec("b", deps=("a",))])
         with pytest.raises(GraphError, match="cycle"):
             registry.topo_order()
+        with pytest.raises(GraphError, match="cycle"):
+            registry.waves()
+
+    def test_waves_partition_by_dependency_depth(self):
+        registry = Registry(
+            [
+                _spec("root"),
+                _spec("late", deps=("mid",)),
+                _spec("mid", deps=("root",)),
+                _spec("other"),
+                _spec("early", deps=("root",)),
+            ]
+        )
+        assert registry.waves() == [["root", "other"], ["mid", "early"], ["late"]]
+        assert registry.waves(["late"]) == [["root"], ["mid"], ["late"]]
+        # Callers get copies; the memoized partition is not shared.
+        registry.waves(["late"])[0].append("x")
+        assert registry.waves(["late"])[0] == ["root"]
 
     def test_with_overrides_replaces_params_copy_only(self):
         registry = Registry([_spec("a", params={"x": 1})])
@@ -126,3 +144,26 @@ class TestDefaultRegistry:
         for name in order:
             assert all(dep in seen for dep in registry.node(name).deps)
             seen.add(name)
+
+    def test_default_study_waves_are_pinned(self):
+        # Measured on the default study: 144 nodes in five waves.  The
+        # depth of each node (one past its deepest dependency) is an
+        # independent oracle for the partition.
+        registry = default_registry()
+        targets = registry.targets()
+        waves = registry.waves(targets)
+        assert [len(wave) for wave in waves] == [53, 33, 50, 7, 1]
+        assert registry.topo_order(targets) == [n for wave in waves for n in wave]
+        depth: dict[str, int] = {}
+        for name in registry.topo_order(targets):
+            deps = registry.node(name).deps
+            depth[name] = 1 + max((depth[dep] for dep in deps), default=-1)
+        assert len(depth) == 144
+        assert [
+            sorted(n for n in depth if depth[n] == index) for index in range(5)
+        ] == [sorted(wave) for wave in waves]
+
+    def test_targets_default_to_every_experiment(self):
+        registry = default_registry()
+        assert registry.targets() == [n.name for n in registry.experiments()]
+        assert registry.targets(("T1", "F1")) == ["T1", "F1"]

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import traced_node_walls
 from repro.studygraph.context import StudyContext
+from repro.studygraph.diff import diff_caches
 from repro.studygraph.node import KIND_ARTIFACT, GridSpec, NodeSpec
 from repro.studygraph.registry import GraphError, Registry
 from repro.studygraph.scheduler import (
@@ -18,7 +20,6 @@ from repro.studygraph.scheduler import (
     run_single_node,
     run_study,
     study_status,
-    traced_node_walls,
 )
 
 
@@ -152,6 +153,32 @@ class TestMemoization:
         assert warm.runs["total"].status == "cached"
         assert warm.outputs["total"]["total"] == 9
         assert warm_context.telemetry.counter("studygraph.payload_rebuilds") >= 1
+
+
+class TestMemoReaders:
+    """status, perf record's memo walls and diff read one memo walk."""
+
+    def test_readers_agree_after_one_meta_entry_is_lost(self, tmp_path):
+        registry = toy_registry()
+        result = run_study(_ctx(tmp_path), registry=registry)
+        cache_dir = tmp_path / "memo"
+        key = result.runs["double"].key
+        (cache_dir / key[:2] / f"{key}.sgmeta.json").unlink()
+
+        states = {
+            row[0]: row[2]
+            for row in study_status(_ctx(tmp_path), registry=registry)
+        }
+        cached = {name for name, state in states.items() if state == "cached"}
+        walls = memo_walls(_ctx(tmp_path), registry=registry)
+        report = diff_caches(cache_dir, cache_dir, registry=registry)
+        diff_states = {node.name: node.state for node in report.nodes}
+        matched = {name for name, state in diff_states.items() if state == "match"}
+
+        assert cached == set(walls) == matched == {"root", "indep"}
+        assert states["double"] == "missing"
+        assert states["total"] == "unknown"
+        assert diff_states["total"] == "absent"
 
 
 class TestRunSingleNode:
