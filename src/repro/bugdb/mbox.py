@@ -71,9 +71,12 @@ def parse_mail_date(value: str) -> _dt.date:
     raise ValueError(f"unparseable mail date: {value!r}")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class MailMessage:
     """One message in a mailing-list archive.
+
+    Slotted: an archive holds tens of thousands of these, and a slotted
+    instance carries no per-instance ``__dict__``.
 
     Attributes:
         message_id: globally unique message identifier.

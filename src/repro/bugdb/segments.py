@@ -17,8 +17,8 @@ on-disk segments**, LSM-tree style:
 * Every segment carries a ``.toc`` sidecar sampling every
   :data:`TOC_SAMPLE_EVERY`-th token with its byte offset; queries
   binary-search the samples, ``seek`` into the segment, and scan a
-  bounded run of lines.  Memory per query is O(matched postings), not
-  O(index).
+  bounded run of lines, decoding doc ids only on the lines that
+  match.  Memory per query is O(matched postings), not O(index).
 * **Size-tiered compaction** merges segments whose sizes fall in the
   same power-of-two tier once a tier holds ``tier_fanout`` of them
   (or everything, with ``full=True``).  Merging is a streaming k-way
@@ -130,9 +130,19 @@ def _write_toc(path: Path, *, doc_count: int, token_count: int, size_bytes: int,
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _parse_line(line: bytes) -> tuple[str, list[int]]:
+def _split_line(line: bytes) -> tuple[bytes, bytes]:
+    """``(token, encoded ids)`` of one postings line, ids still undecoded."""
     token, _, ids = line.rstrip(b"\n").partition(b"\t")
-    return token.decode("utf-8"), [int(part) for part in ids.split(b",")] if ids else []
+    return token, ids
+
+
+def _decode_ids(ids: bytes) -> list[int]:
+    return [int(part) for part in ids.split(b",")] if ids else []
+
+
+def _parse_line(line: bytes) -> tuple[str, list[int]]:
+    token, ids = _split_line(line)
+    return token.decode("utf-8"), _decode_ids(ids)
 
 
 def write_segment(
@@ -191,8 +201,13 @@ class _SegmentReader:
         self._sample_tokens = [str(token) for token, _ in payload["samples"]]
         self._sample_offsets = [int(offset) for _, offset in payload["samples"]]
 
-    def _scan_from(self, token: str) -> Iterator[tuple[str, list[int]]]:
-        """Yield (token, ids) lines starting at the sampled block for ``token``."""
+    def _scan_from(self, token: str) -> Iterator[tuple[bytes, bytes]]:
+        """Yield undecoded (token, ids) lines from the sampled block for ``token``.
+
+        Up to :data:`TOC_SAMPLE_EVERY` - 1 lines before the query sort
+        first; callers compare tokens as UTF-8 bytes (which order like
+        the strings) and decode ids only for the lines they return.
+        """
         if not self._sample_tokens:
             return
         slot = bisect.bisect_right(self._sample_tokens, token) - 1
@@ -200,26 +215,28 @@ class _SegmentReader:
         with open(self._path, "rb") as handle:
             handle.seek(offset)
             for line in handle:
-                yield _parse_line(line)
+                yield _split_line(line)
 
     def lookup(self, token: str) -> list[int]:
         """Local doc ids containing the exact token."""
+        wanted = token.encode("utf-8")
         for found, ids in self._scan_from(token):
-            if found == token:
-                return ids
-            if found > token:
+            if found == wanted:
+                return _decode_ids(ids)
+            if found > wanted:
                 break
         return []
 
     def lookup_prefix(self, prefix: str) -> set[int]:
         """Local doc ids containing any token starting with ``prefix``."""
+        wanted = prefix.encode("utf-8")
         matched: set[int] = set()
         for found, ids in self._scan_from(prefix):
-            if found < prefix:
+            if found < wanted:
                 continue
-            if not found.startswith(prefix):
+            if not found.startswith(wanted):
                 break
-            matched.update(ids)
+            matched.update(_decode_ids(ids))
         return matched
 
     def iter_postings(self) -> Iterator[tuple[str, list[int]]]:

@@ -18,6 +18,7 @@ completed units on resume.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import Any, Mapping
@@ -93,6 +94,13 @@ class WorkUnit:
         recognises a completed unit by *what it is*, not by its position
         in the stream.
         """
+        return self._content_key
+
+    @functools.cached_property
+    def _content_key(self) -> str:
+        # Computed once per unit (a campaign asks several times) and kept
+        # outside the dataclass fields, so equality, hashing and
+        # ``to_dict`` never see it.
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 

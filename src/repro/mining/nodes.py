@@ -58,9 +58,12 @@ def parsed_archive(
 ) -> dict[str, Any]:
     """Artifact: one application's raw archive, rendered and parsed.
 
-    Uses the serial reference parse (`ArchiveFormat.parse`), which the
-    sharded fast path is asserted bit-identical to, so graph outputs
-    match the per-command paths by construction.
+    Uses the serial reference parse (`ArchiveFormat.parse`: split, then
+    ``parse_record`` per chunk), which the sharded fast path is asserted
+    bit-identical to, so graph outputs match the per-command paths by
+    construction.  The rendered text is dropped once split and each
+    chunk goes straight to its dict, so neither the text nor a list of
+    parsed records is alive beside the payload.
 
     Params:
         application: ``apache | gnome | mysql``.
@@ -68,15 +71,14 @@ def parsed_archive(
     """
     application = Application(params["application"])
     fmt = format_for(application)
-    corpus = ctx.study.corpus(application)
-    text = fmt.render(corpus, params.get("scale"))
-    records = fmt.parse(text)
+    chunks = fmt.split(fmt.render(ctx.study.corpus(application), params.get("scale")))
+    records = [fmt.record_to_dict(fmt.parse_record(chunk)) for chunk in chunks]
     return {
         "application": application.value,
         "scale": params.get("scale"),
         "parser_version": fmt.parser_version,
         "record_count": len(records),
-        "records": [fmt.record_to_dict(record) for record in records],
+        "records": records,
     }
 
 

@@ -13,23 +13,27 @@ import dataclasses
 from repro.bugdb.mbox import MailMessage
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Thread:
     """One reconstructed discussion thread.
 
     Attributes:
         messages: all messages in the thread, sorted by (date, id).
+        root: the thread's root -- the earliest non-reply, else the
+            earliest message.  Derived from ``messages`` once, at
+            construction: grouping sorts by it and every miner run over
+            the same threads filters on it.
     """
 
     messages: tuple[MailMessage, ...]
+    root: MailMessage = dataclasses.field(init=False, repr=False, compare=False)
 
-    @property
-    def root(self) -> MailMessage:
-        """The thread's root: the earliest non-reply, else the earliest message."""
-        for message in self.messages:
-            if not message.is_reply:
-                return message
-        return self.messages[0]
+    def __post_init__(self) -> None:
+        root = next(
+            (message for message in self.messages if not message.is_reply),
+            self.messages[0],
+        )
+        object.__setattr__(self, "root", root)
 
     @property
     def subject(self) -> str:
@@ -71,11 +75,11 @@ def group_threads(messages: list[MailMessage]) -> list[Thread]:
         if left_root != right_root:
             parent[right_root] = left_root
 
-    by_id = {message.message_id: message for message in messages}
+    known_ids = {message.message_id for message in messages}
     subject_anchor: dict[str, str] = {}
     for message in messages:
         find(message.message_id)
-        if message.in_reply_to and message.in_reply_to in by_id:
+        if message.in_reply_to and message.in_reply_to in known_ids:
             union(message.in_reply_to, message.message_id)
         subject_key = message.normalized_subject.lower()
         if subject_key:

@@ -51,7 +51,9 @@ class SelfTimeStats:
         total_seconds: total (inclusive) wall time.
         peak_rss_bytes: sampler-attributed peak RSS (None without
             resource samples for this name).
-        cpu_seconds: sampler-attributed CPU time (None without samples).
+        cpu_seconds: sampler-attributed CPU time; without samples, the
+            sum of the spans' own ``cpu_seconds`` attribute (``node:*``
+            spans carry one); None when neither exists.
     """
 
     name: str
@@ -186,7 +188,8 @@ def _self_times(
     A span's self time is its duration minus the summed durations of
     its direct children (clamped at zero: concurrent children -- forked
     workers under one dispatch span -- can overlap past the parent).
-    Resource attribution joins in from sample records when present.
+    Resource attribution joins in from sample records when present;
+    CPU falls back to the spans' own ``cpu_seconds`` attribute.
     """
     child_seconds: dict[str, float] = {}
     for record in spans:
@@ -195,6 +198,7 @@ def _self_times(
             child_seconds[parent] = child_seconds.get(parent, 0.0) + _duration(record)
 
     totals: dict[str, list[float]] = {}
+    span_cpu: dict[str, float] = {}
     for record in spans:
         name = record.get("name", "?")
         duration = _duration(record)
@@ -203,6 +207,9 @@ def _self_times(
         stats[0] += 1
         stats[1] += own
         stats[2] += duration
+        cpu = record.get("attrs", {}).get("cpu_seconds")
+        if cpu is not None:
+            span_cpu[name] = span_cpu.get(name, 0.0) + float(cpu)
 
     usage: dict[str, Any] = {}
     if any(r.get("kind") == "resource" for r in records):
@@ -223,7 +230,7 @@ def _self_times(
                 cpu_seconds=(
                     attributed.cpu_seconds
                     if attributed and attributed.cpu_seconds > 0
-                    else None
+                    else span_cpu.get(name)
                 ),
             )
         )

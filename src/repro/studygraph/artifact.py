@@ -60,9 +60,22 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+#: Characters of canonical JSON encoded and hashed at a time.
+_DIGEST_SLICE = 1 << 20
+
+
 def artifact_digest(payload: Any) -> str:
-    """SHA-256 hex digest of a payload's canonical JSON encoding."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of a payload's canonical JSON encoding.
+
+    The encoding is hashed in bounded slices rather than as one bytes
+    copy of the whole text (12 MB for the parsed MySQL archive).  The
+    digest is the same: ``ensure_ascii`` makes every character one byte.
+    """
+    text = canonical_json(payload)
+    digest = hashlib.sha256()
+    for start in range(0, len(text), _DIGEST_SLICE):
+        digest.update(text[start : start + _DIGEST_SLICE].encode("ascii"))
+    return digest.hexdigest()
 
 
 class ArtifactStore:

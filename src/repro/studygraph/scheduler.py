@@ -153,9 +153,10 @@ def _node_runner(unit: WorkUnit, wave: _WaveContext) -> dict[str, Any]:
     inputs = {dep: wave.inputs[dep] for dep in node.deps}
     started = time.monotonic()
     cpu_started = time.process_time()
-    with obs.span(f"node:{node.name}", kind=node.kind):
+    with obs.span(f"node:{node.name}", kind=node.kind) as node_span:
         payload = node.producer(wave.ctx, inputs, node.params_dict())
-    cpu = time.process_time() - cpu_started
+        cpu = time.process_time() - cpu_started
+        node_span.set(cpu_seconds=round(cpu, 6))
     wall = time.monotonic() - started
     # Peak RSS over the node's window, when a sampler covers this
     # process (dispatcher-side on the serial path, worker-side after a

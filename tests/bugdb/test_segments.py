@@ -281,3 +281,44 @@ class TestCompaction:
         assert candidates
         for group in candidates:
             assert len(group) >= 2
+
+
+class TestQueryDecoding:
+    """Queries decode doc ids only on the lines they return."""
+
+    def build(self, tmp_path):
+        # "crab" sorts just before "crash" in the same TOC block and
+        # posts every document: a scan from the block start passes it.
+        texts = [f"crab number{position % 7}" for position in range(3000)]
+        texts[10] += " crash"
+        texts[20] += " crashed"
+        texts[2999] += " crate"
+        segmented = SegmentedTextIndex(tmp_path / "idx")
+        for text in texts:
+            segmented.add(text)
+        segmented.flush()
+        return segmented, monolithic(texts)
+
+    def test_only_matching_lines_are_decoded(self, tmp_path, monkeypatch):
+        import repro.bugdb.segments as segments
+
+        segmented, reference = self.build(tmp_path)
+        decoded = []
+        original = segments._decode_ids
+
+        def counting(ids):
+            result = original(ids)
+            decoded.append(len(result))
+            return result
+
+        monkeypatch.setattr(segments, "_decode_ids", counting)
+        assert segmented.lookup_prefix("crash") == reference.lookup_prefix("crash") == {10, 20}
+        assert decoded == [1, 1]
+        decoded.clear()
+        assert segmented.lookup("crate") == reference.lookup("crate") == {2999}
+        assert decoded == [1]
+        decoded.clear()
+        assert segmented.lookup("crabs") == reference.lookup("crabs") == set()
+        assert decoded == []
+        assert segmented.lookup("crab") == reference.lookup("crab")
+        assert decoded == [3000]

@@ -176,3 +176,54 @@ class TestSortedTokenCache:
         postings = list(index.iter_postings())
         assert [token for token, _ in postings] == ["apple", "mango", "zebra"]
         assert dict(postings)["apple"] == [0, 1]
+
+
+class TestListPostings:
+    """Postings are append-only lists; every reader dedupes them."""
+
+    def test_iter_postings_sorted_unique_after_out_of_order_adds(self):
+        index = TextIndex()
+        for doc_id in (5, 2, 9, 2, 0, 5):
+            index.add(doc_id, "crash report")
+        assert dict(index.iter_postings()) == {
+            "crash": [0, 2, 5, 9],
+            "report": [0, 2, 5, 9],
+        }
+        assert index.document_count == 4
+
+    def test_repeated_add_of_one_document_posts_once(self):
+        index = TextIndex()
+        index.add(3, "server crashed")
+        index.add(3, "server crashed again")
+        assert index._postings["server"] == [3]
+        assert dict(index.iter_postings()) == {
+            "again": [3],
+            "crashed": [3],
+            "server": [3],
+        }
+
+    def test_merge_with_overlapping_ids(self):
+        left, right = TextIndex(), TextIndex()
+        left.add(1, "crash race")
+        left.add(4, "crash")
+        right.add(4, "crash died")
+        right.add(2, "race")
+        left.merge(right)
+        assert dict(left.iter_postings()) == {
+            "crash": [1, 4],
+            "died": [4],
+            "race": [1, 2],
+        }
+        assert left.lookup("crash") == {1, 4}
+        assert left.lookup_prefix("r") == {1, 2}
+        assert left.document_count == 3
+
+    def test_lookups_return_fresh_sets(self):
+        index = TextIndex()
+        index.add(1, "crash")
+        hits = index.lookup("crash")
+        hits.add(99)
+        assert index.lookup("crash") == {1}
+        prefix_hits = index.lookup_prefix("cr")
+        prefix_hits.add(99)
+        assert index.lookup_prefix("cr") == {1}

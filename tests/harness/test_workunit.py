@@ -54,6 +54,34 @@ class TestKey:
         assert WorkUnit.from_dict(unit.to_dict()) == unit
         assert WorkUnit.from_dict(unit.to_dict()).key() == unit.key()
 
+    def test_key_is_computed_once_outside_the_fields(self, monkeypatch):
+        import dataclasses
+        import pickle
+
+        import repro.harness.workunit as workunit
+
+        unit = WorkUnit.build("replay", "F-1", technique="t", params={"x": 1}, seed=7)
+        fresh = WorkUnit.build("replay", "F-1", technique="t", params={"x": 1}, seed=7)
+        before = unit.to_dict()
+        first = unit.key()
+        calls = []
+        real_sha256 = workunit.hashlib.sha256
+        monkeypatch.setattr(
+            workunit.hashlib, "sha256", lambda data: calls.append(data) or real_sha256(data)
+        )
+        assert [unit.key() for _ in range(5)] == [first] * 5
+        assert calls == []
+        assert fresh.key() == first and len(calls) == 1
+        monkeypatch.undo()
+        assert unit.to_dict() == before
+        assert [f.name for f in dataclasses.fields(unit)] == [
+            "kind", "fault_id", "technique", "params", "seed",
+        ]
+        assert unit == fresh and hash(unit) == hash(fresh)
+        assert "key" not in repr(unit)
+        restored = pickle.loads(pickle.dumps(unit))
+        assert restored == unit and restored.key() == first
+
 
 class TestCheckUnique:
     def test_accepts_distinct_units(self):

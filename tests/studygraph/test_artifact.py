@@ -54,6 +54,16 @@ class TestArtifactDigest:
     def test_differs_on_content_change(self):
         assert artifact_digest({"x": 1}) != artifact_digest({"x": 2})
 
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 9, 1 << 20, (3 << 20) + 5])
+    def test_sliced_hash_equals_one_shot_hash(self, size):
+        import hashlib
+
+        # Non-ASCII characters escape to several ASCII ones; the sizes
+        # give texts of under one, about one and several slices.
+        payload = {"records": ["café ☃ " * (size // 20), "x" * size]}
+        one_shot = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+        assert artifact_digest(payload) == one_shot
+
 
 class TestArtifactStore:
     def test_put_then_get(self):

@@ -504,6 +504,21 @@ class TestTraceAndDiffCommands:
         assert "Wall time by phase" in out
         assert "Slowest 3 spans" in out
 
+    def test_plain_trace_fills_node_cpu_column(self, capsys, tmp_path):
+        # No --sample-resources: the node span's own CPU time fills it.
+        _, trace = self._traced_run(tmp_path, capsys)
+        (span,) = [r for r in json_lines(trace) if r["name"] == "node:T1"]
+        assert span["attrs"]["cpu_seconds"] >= 0
+        assert main(["trace", "summary", trace, "--top", "100"]) == 0
+        # The self-time table: span | calls | self | total | RSS | cpu.
+        (cells,) = [
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("node:T1 ") and line.count("|") == 5
+        ]
+        assert cells[-2] == "-"  # peak RSS: still sampler-only
+        assert cells[-1] == f"{span['attrs']['cpu_seconds'] * 1000:.1f}"
+
     def test_trace_export_is_valid_chrome_json(self, capsys, tmp_path):
         import json
 
