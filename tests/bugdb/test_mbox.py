@@ -1,5 +1,6 @@
 """Tests for the mbox mailing-list format (MySQL)."""
 
+import dataclasses
 import datetime
 
 import pytest
@@ -32,6 +33,15 @@ class TestMailMessage:
     def test_is_reply_by_header(self):
         assert make_message(in_reply_to="root@x").is_reply
         assert not make_message().is_reply
+
+    def test_slotted_and_picklable(self):
+        import pickle
+
+        message = make_message(in_reply_to="root@x")
+        assert not hasattr(message, "__dict__")
+        assert pickle.loads(pickle.dumps(message)) == message
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            message.subject = "changed"
 
     def test_is_reply_by_subject(self):
         assert make_message(subject="Re: anything").is_reply
