@@ -426,7 +426,8 @@ def record_from_trace(
     regression checks compare like with like.  When the trace carries
     resource-sample records (``repro.obs.resources``), each node's
     sampler-attributed peak RSS and CPU seconds ride along on its
-    :class:`NodePerf`.
+    :class:`NodePerf`; without sampler CPU, a node's CPU seconds are the
+    sum of its ``node:*`` spans' own ``cpu_seconds`` attribute.
     """
     trace_records = list(trace_records)
     spans = [r for r in trace_records if "start" in r and "end" in r]
@@ -448,13 +449,16 @@ def record_from_trace(
             workers = 1
 
     walls = traced_node_walls(spans)
+    span_cpu: dict[str, float] = {}
     stream_walls: dict[str, float] = {}
     stream_totals: dict[str, dict[str, float]] = {}
     for record in spans:
         name = record.get("name", "")
         seconds = max(0.0, record.get("end", 0.0) - record.get("start", 0.0))
         attrs = record.get("attrs", {})
-        if name.startswith("stream:parse:"):
+        if name.startswith("node:") and attrs.get("cpu_seconds") is not None:
+            span_cpu[name] = span_cpu.get(name, 0.0) + float(attrs["cpu_seconds"])
+        elif name.startswith("stream:parse:"):
             stream_walls[name] = stream_walls.get(name, 0.0) + seconds
             totals = stream_totals.setdefault(name, {"bytes": 0.0, "records": 0.0})
             for key in ("bytes", "records"):
@@ -485,7 +489,7 @@ def record_from_trace(
             cpu_seconds=(
                 round(usage.cpu_seconds, 6)
                 if usage and usage.cpu_seconds > 0
-                else None
+                else span_cpu.get(f"node:{node}")
             ),
         )
     for name, seconds in stream_walls.items():

@@ -14,7 +14,13 @@ result hot:
 * an in-memory **response memo**: node payloads are content-addressed,
   and the study is immutable while serving, so an identical request is
   a dictionary hit -- this is what turns a warm daemon into thousands
-  of requests per second.
+  of requests per second.  Each entry keeps the reply's encoded size
+  beside it, so a hit is never re-encoded.
+
+A reply must fit the wire's line limit.  A node whose memo entry
+records a payload larger than the limit is refused before its payload
+is loaded, and the response memo keeps refusals, never payloads that
+cannot be sent.
 
 Requests route through :class:`~repro.serve.admission.
 AdmissionController` first (backpressure and quotas are the service's
@@ -78,6 +84,16 @@ def _payload_size(payload: Mapping[str, Any]) -> int:
         )
     except (TypeError, ValueError):
         return 0
+
+
+class ReplyTooLarge(ProtocolError):
+    """A reply whose payload alone exceeds the line limit.
+
+    Node handlers raise it from the recorded payload size, before the
+    payload is loaded; the router raises it for any other reply it
+    sizes.  The response memo keeps the refusal instead of the payload,
+    so a repeat is refused without another memo walk.
+    """
 
 
 def request_key(kind: str, params: Mapping[str, Any]) -> str:
@@ -239,7 +255,9 @@ class StudyService:
         self._study: Any = None
         self._cache: Any = None
         self._warm_lock = threading.Lock()
-        self._memo: dict[str, dict[str, Any]] = {}
+        #: request key -> (reply payload, its encoded size), or the
+        #: message of a :class:`ReplyTooLarge` refusal.
+        self._memo: dict[str, tuple[dict[str, Any], int] | str] = {}
         self._memo_lock = threading.Lock()
         self._monitor_lock = threading.Lock()
         self._counters = {
@@ -317,7 +335,8 @@ class StudyService:
         back as ``status="error"`` responses, admission refusals as
         ``rejected-busy`` / ``shutting-down``.  A payload too large for
         the wire's line limit is answered here as an ``error``, so the
-        transport can always encode the reply.
+        transport can always encode the reply (node handlers refuse a
+        recorded oversize payload earlier, before loading it).
 
         Every path -- success, error, refusal -- records exactly one
         observation in :attr:`stats` (latency, admission wait, response
@@ -348,9 +367,8 @@ class StudyService:
             with obs.span(
                 f"serve:{request.kind}", client=request.client, id=request.id
             ) as span:
-                payload, memoized = self._dispatch(request)
+                payload, size, memoized = self._dispatch(request)
                 span.set(memoized=memoized)
-            size = _payload_size(payload)
             line_bytes = ok_line_bytes(request.id, size)
             if line_bytes > MAX_LINE_BYTES:
                 raise ProtocolError(
@@ -385,24 +403,42 @@ class StudyService:
         """Stop admitting; in-flight requests run to completion."""
         self.admission.begin_drain()
 
-    def _dispatch(self, request: Request) -> tuple[dict[str, Any], bool]:
+    def _dispatch(self, request: Request) -> tuple[dict[str, Any], int, bool]:
+        """``(payload, encoded size, memo hit)`` for one admitted request."""
         handler = self._handlers.get(request.kind)
         if handler is None:
             raise ValueError(f"no handler for request kind {request.kind!r}")
-        if request.kind in MEMOIZED_KINDS and request.kind in self._handlers:
+        key = None
+        if request.kind in MEMOIZED_KINDS:
             key = request_key(request.kind, request.params)
             with self._memo_lock:
                 hit = self._memo.get(key)
             if hit is not None:
                 self._count("memo_hits")
-                return hit, True
+                if isinstance(hit, str):
+                    raise ReplyTooLarge(hit)
+                return (*hit, True)
+        try:
             payload = handler(request)
+            size = _payload_size(payload)
+            if size > MAX_LINE_BYTES:
+                raise ReplyTooLarge(
+                    f"reply of {size} bytes is too large for the "
+                    f"{MAX_LINE_BYTES}-byte line limit"
+                )
+        except ReplyTooLarge as refusal:
+            if key is not None:
+                with self._memo_lock:
+                    # The message only: the exception's traceback would
+                    # keep the run's payloads alive.
+                    self._memo[key] = str(refusal)
+            raise
+        if key is not None:
             with self._memo_lock:
                 # Concurrent first requests may both compute; payloads
                 # are deterministic, so last-write-wins is safe.
-                self._memo[key] = payload
-            return payload, False
-        return handler(request), False
+                self._memo[key] = (payload, size)
+        return payload, size, False
 
     # -- handlers -------------------------------------------------------- #
 
@@ -417,6 +453,11 @@ class StudyService:
         and digest are identical to ``repro study run --nodes`` / the
         classic single-node commands by the graph's equivalence
         contract.
+
+        Raises:
+            ReplyTooLarge: the node's recorded payload size already
+                exceeds the line limit; no reply carrying it can be
+                sent, so its payload is never loaded.
         """
         from repro.obs.metrics import MetricsRegistry
         from repro.studygraph.context import StudyContext
@@ -436,6 +477,11 @@ class StudyService:
         )
         result = run_study(context, nodes=[name], outputs=[name], registry=registry)
         run = result.runs[name]
+        if run.payload_bytes is not None and run.payload_bytes > MAX_LINE_BYTES:
+            raise ReplyTooLarge(
+                f"reply of over {run.payload_bytes} bytes is too large for the "
+                f"{MAX_LINE_BYTES}-byte line limit"
+            )
         payload = result.outputs[name]
         return {
             "node": name,

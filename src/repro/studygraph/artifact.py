@@ -11,7 +11,9 @@ affected subgraph and nothing else.
 live in memory; payloads of cache-satisfied nodes are loaded lazily from
 the :class:`~repro.pipeline.cache.ParseMineCache` only when a downstream
 cache miss (or a requested output) actually needs them.  A warm re-run
-therefore never deserializes the heavy parsed-archive artifacts at all.
+therefore never deserializes the heavy parsed-archive artifacts at all,
+and a run's requested outputs (:class:`OutputView`) are loaded only when
+a caller reads them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import datetime as _dt
 import enum
 import hashlib
 import json
-from typing import Any, Callable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 #: Cache tags for studygraph entries (see ParseMineCache path layout).
 META_TAG = "sgmeta"
@@ -64,32 +66,36 @@ def canonical_json(data: Any) -> str:
 _DIGEST_SLICE = 1 << 20
 
 
-def artifact_digest(payload: Any) -> str:
-    """SHA-256 hex digest of a payload's canonical JSON encoding.
+def artifact_digest_size(payload: Any) -> tuple[str, int]:
+    """``(digest, size)`` of a payload's canonical JSON encoding.
 
-    The encoding is hashed in bounded slices rather than as one bytes
-    copy of the whole text (12 MB for the parsed MySQL archive).  The
-    digest is the same: ``ensure_ascii`` makes every character one byte.
+    The digest is the SHA-256 hex of the encoding; the size is its
+    length in bytes, which ``ensure_ascii`` makes its length in
+    characters, so it costs nothing beyond the encoding the digest
+    needs.  The encoding is hashed in bounded slices rather than as one
+    bytes copy of the whole text (12 MB for the parsed MySQL archive).
     """
     text = canonical_json(payload)
     digest = hashlib.sha256()
     for start in range(0, len(text), _DIGEST_SLICE):
         digest.update(text[start : start + _DIGEST_SLICE].encode("ascii"))
-    return digest.hexdigest()
+    return digest.hexdigest(), len(text)
+
+
+def artifact_digest(payload: Any) -> str:
+    """SHA-256 hex digest of a payload's canonical JSON encoding."""
+    return artifact_digest_size(payload)[0]
 
 
 class ArtifactStore:
     """Payloads by node name, with lazy loads for cache-satisfied nodes.
 
-    Args:
-        loader: ``name -> payload`` fallback invoked on a miss (the
-            scheduler wires this to a cache read or, failing that, an
-            inline re-execution of the node).
+    A miss calls :meth:`load`; the scheduler's store overrides it with a
+    cache read or, failing that, an inline re-execution of the node.
     """
 
-    def __init__(self, loader: Callable[[str], dict[str, Any]] | None = None):
+    def __init__(self) -> None:
         self._payloads: dict[str, dict[str, Any]] = {}
-        self._loader = loader
 
     def put(self, name: str, payload: dict[str, Any]) -> None:
         """Record an in-memory payload for ``name``."""
@@ -100,17 +106,65 @@ class ArtifactStore:
         return name in self._payloads
 
     def get(self, name: str) -> dict[str, Any]:
-        """The payload for ``name``, loading it through the fallback.
+        """The payload for ``name``, loading it through :meth:`load`.
 
         Raises:
-            KeyError: unknown artifact and no loader configured.
+            KeyError: unknown artifact and no way to load it.
         """
         if name not in self._payloads:
-            if self._loader is None:
-                raise KeyError(f"artifact {name!r} is not materialized")
-            self._payloads[name] = self._loader(name)
+            self._payloads[name] = self.load(name)
         return self._payloads[name]
+
+    def load(self, name: str) -> dict[str, Any]:
+        """Produce the payload for a name not held in memory.
+
+        The base store holds only what was :meth:`put`.  Loading is a
+        method, not a callable handed in, because a loader usually needs
+        the store itself (to materialize inputs): a closure over the
+        store would make a reference cycle that keeps every payload
+        alive until the cyclic collector runs.
+        """
+        raise KeyError(f"artifact {name!r} is not materialized")
+
+    def retain(self, names: Iterable[str]) -> None:
+        """Drop every in-memory payload except those for ``names``.
+
+        A dropped payload is loaded again on its next :meth:`get`.
+        """
+        keep = set(names)
+        self._payloads = {
+            name: payload for name, payload in self._payloads.items() if name in keep
+        }
 
     def subset(self, names: tuple[str, ...] | list[str]) -> dict[str, dict[str, Any]]:
         """Materialize and return ``{name: payload}`` for ``names``."""
         return {name: self.get(name) for name in names}
+
+
+class OutputView(Mapping[str, dict[str, Any]]):
+    """Read-only ``{name: payload}`` over a store, loaded on first read.
+
+    Membership, iteration and length never touch a payload; indexing
+    one name materializes only that payload, through ``store``.
+    """
+
+    def __init__(self, store: ArtifactStore, names: Iterable[str]):
+        self.store = store
+        self._names = tuple(dict.fromkeys(names))
+
+    def __getitem__(self, name: str) -> dict[str, Any]:
+        if name not in self._names:
+            raise KeyError(name)
+        return self.store.get(name)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __repr__(self) -> str:
+        return f"OutputView({list(self._names)!r})"

@@ -14,8 +14,11 @@ experiment by default) plus their dependency closure:
    ParseMineCache`: the memo key is the node's content digest over
    (name, version, params, input artifact digests).  Hits resolve from
    a tiny metadata entry -- the payload itself is loaded lazily, only
-   if a downstream miss (or a requested output) needs it, so a fully
-   warm re-run does no heavy deserialization at all.  One check
+   if a downstream miss needs it or a caller reads a requested output,
+   so a fully warm re-run does no heavy deserialization at all.  The
+   entry also records the payload's canonical-JSON size
+   (``payload_bytes``), so a caller can judge a payload's size before
+   loading it.  One check
    (:func:`_memo_meta`) decides whether a metadata entry is a hit, and
    ``study status``, ``study diff`` and ``perf record`` read the same
    check through :func:`resolve_memo`.
@@ -43,7 +46,8 @@ from repro.studygraph.artifact import (
     DATA_TAG,
     META_TAG,
     ArtifactStore,
-    artifact_digest,
+    OutputView,
+    artifact_digest_size,
 )
 from repro.studygraph.context import StudyContext
 from repro.studygraph.node import NodeSpec
@@ -74,6 +78,9 @@ class NodeRun:
         peak_rss_bytes: peak RSS the resource sampler saw while the
             producer ran (None when sampling is off or the node was a
             memo hit).
+        payload_bytes: length of the output's canonical JSON, measured
+            when the digest was computed and recorded in the memo entry
+            (None for a memo hit whose entry predates the field).
     """
 
     name: str
@@ -83,6 +90,7 @@ class NodeRun:
     wall_seconds: float
     cpu_seconds: float | None = None
     peak_rss_bytes: int | None = None
+    payload_bytes: int | None = None
 
 
 @dataclasses.dataclass
@@ -91,13 +99,15 @@ class StudyRunResult:
 
     Attributes:
         runs: per-node outcome, in topological execution order.
-        outputs: materialized payloads for the requested output nodes.
+        outputs: payloads of the requested output nodes, each loaded
+            through the run's artifact store on first read (check
+            ``runs[name]`` first to avoid loading one at all).
         telemetry: counters/timers accumulated across all waves.
         waves: number of dependency waves executed.
     """
 
     runs: dict[str, NodeRun]
-    outputs: dict[str, dict[str, Any]]
+    outputs: Mapping[str, dict[str, Any]]
     telemetry: MetricsRegistry
     waves: int
 
@@ -146,8 +156,9 @@ def _node_runner(unit: WorkUnit, wave: _WaveContext) -> dict[str, Any]:
     """Execute one node inside a pool worker.
 
     The unit's ``fault_id`` carries the node name; inputs were
-    materialized by the parent before the fork.  The payload digest is
-    computed worker-side so the parent never re-encodes large payloads.
+    materialized by the parent before the fork.  The payload digest and
+    size are computed worker-side so the parent never re-encodes large
+    payloads.
     """
     node = wave.nodes[unit.fault_id]
     inputs = {dep: wave.inputs[dep] for dep in node.deps}
@@ -163,20 +174,18 @@ def _node_runner(unit: WorkUnit, wave: _WaveContext) -> dict[str, Any]:
     # fork).  None when sampling is off or the node outran the interval.
     sampler = obs_resources.active_sampler()
     peak_rss = sampler.peak_rss_since(started) if sampler is not None else None
+    digest, size = artifact_digest_size(payload)
     return {
         "payload": payload,
-        "digest": artifact_digest(payload),
+        "digest": digest,
+        "payload_bytes": size,
         "wall_seconds": wall,
         "cpu_seconds": cpu,
         "peak_rss_bytes": peak_rss,
     }
 
 
-def _make_store(
-    context: StudyContext,
-    registry: Registry,
-    runs: dict[str, NodeRun],
-) -> ArtifactStore:
+class _MemoStore(ArtifactStore):
     """An artifact store whose misses resolve through the memo cache.
 
     If a cached node's data entry has vanished or rotted (the cache
@@ -184,23 +193,29 @@ def _make_store(
     inline from its own (recursively materialized) inputs.
     """
 
-    def load(name: str) -> dict[str, Any]:
-        run = runs.get(name)
-        if run is not None and context.cache is not None:
-            entry = context.cache.load(run.key, DATA_TAG)
+    def __init__(
+        self, context: StudyContext, registry: Registry, runs: dict[str, NodeRun]
+    ):
+        super().__init__()
+        self._context = context
+        self._registry = registry
+        self._runs = runs
+
+    def load(self, name: str) -> dict[str, Any]:
+        run = self._runs.get(name)
+        cache = self._context.cache
+        if run is not None and cache is not None:
+            entry = cache.load(run.key, DATA_TAG)
             if entry is not None and "payload" in entry:
                 return entry["payload"]
-        node = registry.node(name)
-        inputs = {dep: store.get(dep) for dep in node.deps}
-        context.telemetry.count("studygraph.payload_rebuilds")
+        node = self._registry.node(name)
+        inputs = {dep: self.get(dep) for dep in node.deps}
+        self._context.telemetry.count("studygraph.payload_rebuilds")
         with obs.span(f"rebuild:{name}"):
             # A copy: ``derived`` memos must not outlive this rebuild.
             return node.producer(
-                dataclasses.replace(context), inputs, node.params_dict()
+                dataclasses.replace(self._context), inputs, node.params_dict()
             )
-
-    store = ArtifactStore(loader=load)
-    return store
 
 
 def order_longest_first(
@@ -284,7 +299,7 @@ def run_study(
     cache = context.cache
     digests: dict[str, str] = {}
     runs: dict[str, NodeRun] = {}
-    store = _make_store(context, registry, runs)
+    store = _MemoStore(context, registry, runs)
     node_map = {name: registry.node(name) for name in order}
 
     if monitor is not None:
@@ -313,6 +328,7 @@ def run_study(
                         runs[name] = NodeRun(
                             name, STATUS_CACHED, meta["digest"], key,
                             0.0,
+                            payload_bytes=meta.get("payload_bytes"),
                         )
                         telemetry.count("studygraph.nodes.cached")
                         if monitor is not None:
@@ -360,6 +376,7 @@ def run_study(
                             result["wall_seconds"],
                             cpu_seconds=result.get("cpu_seconds"),
                             peak_rss_bytes=result.get("peak_rss_bytes"),
+                            payload_bytes=result["payload_bytes"],
                         )
                         telemetry.count("studygraph.nodes.executed")
                         if cache is not None:
@@ -368,6 +385,7 @@ def run_study(
                                 "memo_version": MEMO_VERSION,
                                 "node": name,
                                 "digest": digest,
+                                "payload_bytes": result["payload_bytes"],
                                 "wall_seconds": round(
                                     result["wall_seconds"], 6
                                 ),
@@ -390,9 +408,12 @@ def run_study(
     if monitor is not None:
         monitor.run_finished()
     ordered_runs = {name: runs[name] for name in order}
+    # Only the requested outputs stay in memory; a cached one is loaded
+    # from the memo cache when the caller first reads it.
+    store.retain(outputs)
     return StudyRunResult(
         runs=ordered_runs,
-        outputs={name: store.get(name) for name in outputs},
+        outputs=OutputView(store, outputs),
         telemetry=telemetry,
         waves=len(waves),
     )

@@ -188,6 +188,16 @@ class TestRecordFromTrace:
             "cache.hits": 1,
         }
 
+    def test_node_cpu_falls_back_to_span_attribute(self):
+        # No resource samples: each node's CPU is its spans' own
+        # ``cpu_seconds`` attribute, summed across repeats.
+        trace = self.trace()
+        trace[2]["attrs"] = {"cpu_seconds": 0.5}
+        trace[3]["attrs"] = {"cpu_seconds": 0.25}
+        record = record_from_trace(trace)
+        assert record.nodes["T1"].cpu_seconds == pytest.approx(0.75)
+        assert record.nodes["corpus.apache"].cpu_seconds is None
+
     def test_memo_walls_added_as_cached(self):
         record = record_from_trace(
             self.trace(), memo_walls={"F1": 0.9, "T1": 99.0}

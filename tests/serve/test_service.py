@@ -15,6 +15,7 @@ from repro.serve.protocol import (
     STATUS_SHUTTING_DOWN,
     Request,
 )
+from repro.serve import service as service_module
 from repro.serve.service import StudyService, request_key
 
 
@@ -81,6 +82,120 @@ class TestDigestEquality:
         assert response.ok
         digest, _ = batch_node("E1", overrides)
         assert response.payload["digest"] == digest
+
+
+def _blob(ctx, inputs, params):
+    return {"blob": "x" * params["size"], "text": "blob"}
+
+
+def blob_registry():
+    from repro.studygraph.node import NodeSpec
+    from repro.studygraph.registry import Registry
+
+    return Registry(
+        [
+            NodeSpec.build("big", _blob, params={"size": 5000}),
+            NodeSpec.build("small", _blob, params={"size": 10}),
+        ]
+    )
+
+
+@pytest.fixture
+def small_limit(monkeypatch):
+    """A line limit the toy ``big`` node exceeds and ``small`` fits."""
+    monkeypatch.setattr(service_module, "MAX_LINE_BYTES", 2000)
+
+
+def _data_loads(monkeypatch):
+    """Spy on memo-cache reads; returns the list of ``sgdata`` loads."""
+    from repro.pipeline.cache import ParseMineCache
+    from repro.studygraph.artifact import DATA_TAG
+
+    loads = []
+    original = ParseMineCache.load
+
+    def spy(self, key, tag):
+        if tag == DATA_TAG:
+            loads.append(key)
+        return original(self, key, tag)
+
+    monkeypatch.setattr(ParseMineCache, "load", spy)
+    return loads
+
+
+class TestOversizeReplies:
+    """A reply too large for the line limit is refused from the size the
+    memo entry records, before the payload is loaded."""
+
+    def test_recorded_oversize_is_refused_without_loading(
+        self, tmp_path, small_limit, monkeypatch
+    ):
+        cold = StudyService(cache_dir=tmp_path, registry=blob_registry())
+        first = cold.handle(Request(kind="study", params={"node": "big"}))
+        assert first.status == STATUS_ERROR and "too large" in first.error
+        assert cold.handle(Request(kind="study", params={"node": "small"})).ok
+
+        loads = _data_loads(monkeypatch)
+        warm = StudyService(cache_dir=tmp_path, registry=blob_registry())
+        for _ in range(2):
+            response = warm.handle(Request(kind="study", params={"node": "big"}))
+            assert response.status == STATUS_ERROR
+            assert "too large" in response.error
+            assert "line limit" in response.error
+        assert loads == []
+        # The memo keeps the refusal, never a payload: the repeat is a hit.
+        assert warm._counters["memo_hits"] == 1
+        assert all(isinstance(entry, str) for entry in warm._memo.values())
+        assert warm.handle(Request(kind="study", params={"node": "small"})).ok
+        assert len(loads) == 1
+
+    def test_entry_without_recorded_size_takes_the_reply_check(
+        self, tmp_path, small_limit, monkeypatch
+    ):
+        import json
+
+        cold = StudyService(cache_dir=tmp_path, registry=blob_registry())
+        cold.handle(Request(kind="study", params={"node": "big"}))
+        # Strip the field, as an entry written by older code lacks it.
+        for path in tmp_path.rglob("*.sgmeta.json"):
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            del entry["data"]["payload_bytes"]
+            path.write_text(json.dumps(entry), encoding="utf-8")
+
+        loads = _data_loads(monkeypatch)
+        warm = StudyService(cache_dir=tmp_path, registry=blob_registry())
+        for _ in range(2):
+            response = warm.handle(Request(kind="study", params={"node": "big"}))
+            assert response.status == STATUS_ERROR
+            assert "too large" in response.error
+        # Loaded once to size it; the memo keeps the refusal, not the
+        # payload, so the repeat is a hit that loads nothing.
+        assert len(loads) == 1
+        assert warm._counters["memo_hits"] == 1
+        assert all(isinstance(entry, str) for entry in warm._memo.values())
+
+    def test_memo_hit_is_not_sized_again(self, tmp_path, monkeypatch):
+        sized = []
+        original = service_module._payload_size
+
+        def spy(payload):
+            sized.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(service_module, "_payload_size", spy)
+        service = StudyService(cache_dir=tmp_path, registry=blob_registry())
+        replies = [
+            service.handle(Request(kind="study", params={"node": "small"}))
+            for _ in range(3)
+        ]
+        assert all(reply.ok for reply in replies)
+        assert service._counters["memo_hits"] == 2
+        assert len(sized) == 1
+        text = service.handle(Request(kind="metrics")).payload["text"]
+        assert (
+            f'repro_response_bytes_total{{kind="study"}} {3 * original(replies[0].payload)}'
+            in text
+        )
 
 
 class TestGridFamilies:

@@ -7,7 +7,9 @@ import pytest
 from repro.bugdb.enums import Application, FaultClass
 from repro.studygraph.artifact import (
     ArtifactStore,
+    OutputView,
     artifact_digest,
+    artifact_digest_size,
     canonical_json,
     jsonable,
 )
@@ -64,6 +66,25 @@ class TestArtifactDigest:
         one_shot = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
         assert artifact_digest(payload) == one_shot
 
+    def test_size_is_the_canonical_encoding_length(self):
+        payload = {"s": "café ☃", "n": [1, 2.5, None]}
+        digest, size = artifact_digest_size(payload)
+        assert digest == artifact_digest(payload)
+        assert size == len(canonical_json(payload))
+        assert size == len(canonical_json(payload).encode("utf-8"))
+
+
+class RecordingStore(ArtifactStore):
+    """Loads ``{"name": name}`` for any name and records each load."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def load(self, name):
+        self.calls.append(name)
+        return {"name": name}
+
 
 class TestArtifactStore:
     def test_put_then_get(self):
@@ -77,17 +98,37 @@ class TestArtifactStore:
             ArtifactStore().get("ghost")
 
     def test_loader_runs_once_per_name(self):
-        calls = []
-
-        def load(name):
-            calls.append(name)
-            return {"name": name}
-
-        store = ArtifactStore(loader=load)
+        store = RecordingStore()
         assert store.get("a") == {"name": "a"}
         assert store.get("a") == {"name": "a"}
-        assert calls == ["a"]
+        assert store.calls == ["a"]
 
     def test_subset_materializes_each_name(self):
-        store = ArtifactStore(loader=lambda name: {"name": name})
+        store = RecordingStore()
         assert store.subset(("a", "b")) == {"a": {"name": "a"}, "b": {"name": "b"}}
+
+    def test_retain_drops_other_payloads_until_reloaded(self):
+        store = RecordingStore()
+        store.put("a", {"v": 1})
+        store.put("b", {"v": 2})
+        store.retain(["a"])
+        assert store.has("a") and not store.has("b")
+        assert store.get("b") == {"name": "b"}
+        assert store.calls == ["b"]
+
+
+class TestOutputView:
+    def test_loads_only_the_names_it_is_asked_for(self):
+        store = RecordingStore()
+        view = OutputView(store, ["a", "b", "a"])
+        assert list(view) == ["a", "b"]
+        assert len(view) == 2
+        assert "a" in view and "c" not in view
+        assert store.calls == []
+        assert view["b"] == {"name": "b"}
+        assert store.calls == ["b"]
+        assert view == {"a": {"name": "a"}, "b": {"name": "b"}}
+
+    def test_unrequested_name_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            OutputView(RecordingStore(), ["a"])["b"]

@@ -4,12 +4,16 @@ The toy producers are module-level so forked pool workers resolve them
 by reference; the domain-level graph is covered by test_equivalence.
 """
 
+import gc
+import json
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.obs import traced_node_walls
+from repro.studygraph.artifact import DATA_TAG, canonical_json
 from repro.studygraph.context import StudyContext
 from repro.studygraph.diff import diff_caches
 from repro.studygraph.node import KIND_ARTIFACT, GridSpec, NodeSpec
@@ -153,6 +157,69 @@ class TestMemoization:
         assert warm.runs["total"].status == "cached"
         assert warm.outputs["total"]["total"] == 9
         assert warm_context.telemetry.counter("studygraph.payload_rebuilds") >= 1
+
+
+class TestPayloadBytes:
+    """Each run records its output's canonical-JSON size."""
+
+    def test_executed_and_cached_runs_record_the_size(self, tmp_path):
+        every = ["root", "double", "total", "indep"]
+        cold = run_study(_ctx(tmp_path), outputs=every, registry=toy_registry())
+        warm = run_study(_ctx(tmp_path), outputs=every, registry=toy_registry())
+        for name in cold.runs:
+            size = len(canonical_json(cold.outputs[name]))
+            assert warm.outputs[name] == cold.outputs[name]
+            assert cold.runs[name].status == "executed"
+            assert warm.runs[name].status == "cached"
+            assert cold.runs[name].payload_bytes == size
+            assert warm.runs[name].payload_bytes == size
+
+    def test_entry_without_the_field_gives_none(self, tmp_path):
+        context = _ctx(tmp_path)
+        cold = run_study(context, registry=toy_registry())
+        key = cold.runs["total"].key
+        path = Path(context.cache.root) / key[:2] / f"{key}.sgmeta.json"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        del entry["data"]["payload_bytes"]
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        warm = run_study(_ctx(tmp_path), registry=toy_registry())
+        assert warm.runs["total"].status == "cached"
+        assert warm.runs["total"].payload_bytes is None
+        assert warm.runs["root"].payload_bytes is not None
+
+
+class TestLazyOutputs:
+    def test_cached_output_loads_on_first_read(self, tmp_path, monkeypatch):
+        cold = run_study(_ctx(tmp_path), registry=toy_registry())
+        context = _ctx(tmp_path)
+        loads = []
+        original = context.cache.load
+
+        def spy(key, tag):
+            loads.append(tag)
+            return original(key, tag)
+
+        monkeypatch.setattr(context.cache, "load", spy)
+        warm = run_study(context, outputs=["total"], registry=toy_registry())
+        assert warm.cached == 4
+        assert DATA_TAG not in loads
+        assert warm.outputs["total"] == cold.outputs["total"]
+        assert loads.count(DATA_TAG) == 1
+        assert warm.outputs["total"] == cold.outputs["total"]
+        assert loads.count(DATA_TAG) == 1
+
+    def test_store_is_freed_with_the_result(self, tmp_path):
+        # No cycle may keep the store (and every payload it holds)
+        # alive until the cyclic collector runs.
+        gc.disable()
+        try:
+            result = run_study(_ctx(tmp_path), registry=toy_registry())
+            assert result.outputs["total"]["total"] == 9
+            store = weakref.ref(result.outputs.store)
+            del result
+            assert store() is None
+        finally:
+            gc.enable()
 
 
 class TestMemoReaders:

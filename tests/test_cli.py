@@ -640,6 +640,20 @@ class TestPerfIntelligenceCommands:
         assert main(["perf", "check", "--db", db]) == 0
         assert "no regressions" in capsys.readouterr().out
 
+    def test_perf_record_carries_span_cpu(self, capsys, tmp_path):
+        import json
+
+        # A plain traced run (no sampler): the record takes each node's
+        # CPU from its span, as ``trace summary`` does.
+        db = tmp_path / "perf.jsonl"
+        _, trace = self._traced_run(tmp_path, capsys)
+        (span,) = [r for r in json_lines(trace) if r["name"] == "node:T1"]
+        assert main(["perf", "record", "--db", str(db), "--trace", trace]) == 0
+        (record,) = [json.loads(line) for line in db.read_text().splitlines()]
+        assert record["nodes"]["T1"]["cpu_seconds"] == pytest.approx(
+            span["attrs"]["cpu_seconds"]
+        )
+
     def test_perf_check_flags_injected_slowdown(self, capsys, tmp_path):
         import json
 
