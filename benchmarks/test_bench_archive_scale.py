@@ -29,7 +29,7 @@ import resource
 import pytest
 
 from repro.bugdb.enums import Application
-from repro.bugdb.segments import SegmentedTextIndex, segmented_equal_to_monolithic
+from repro.bugdb.segments import SegmentedTextIndex
 from repro.bugdb.textindex import TextIndex
 from repro.corpus import write_archive
 from repro.corpus.render import mysql_raw_archive
@@ -37,6 +37,7 @@ from repro.mining.keywords import MYSQL_STUDY_KEYWORDS
 from repro.obs.perfdb import PerfDB, throughput_record
 from repro.obs.resources import ResourceSampler, proc_available
 from repro.pipeline import format_for, parse_archive_streamed
+from tests.oracles import segmented_equal_to_monolithic
 
 SHARD_BUDGET = 4 << 20
 

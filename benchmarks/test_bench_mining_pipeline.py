@@ -3,7 +3,7 @@
 5220 Apache problem reports -> 50 unique bugs; ~500 GNOME reports -> 45;
 ~44,000 MySQL mailing-list messages -> 44.  Benchmarks the whole
 parse-and-narrow path per application, then the fast archive path on
-top of it: parallel sharded parsing (stall-bound regime, as in the
+top of it: parallel byte-range parsing (stall-bound regime, as in the
 harness scaling benchmark) and the content-addressed warm cache.  Both
 fast-path variants assert traces and mined records identical to the
 serial cold path -- speed never buys a different answer.
@@ -20,7 +20,7 @@ from repro.pipeline import (
     ParseMineCache,
     format_for,
     mine_archive_text,
-    parse_archive_sharded,
+    parse_archive_streamed,
 )
 
 #: Simulated per-record stall (I/O, decompression) for the parallel
@@ -31,6 +31,10 @@ PARSE_STALL_SECONDS = 0.006
 
 #: Records in the stall-bound parallel parse benchmark.
 PARSE_STALL_RECORDS = 150
+
+#: Byte ranges the stall-bound archive is cut into (about 10 records
+#: each), so every worker count up to 4 has ranges to share.
+PARSE_STALL_RANGES = 16
 
 #: Timing repetitions per configuration (min is reported).
 REPETITIONS = 2
@@ -95,13 +99,24 @@ def test_bench_mining_parallel_parse_scaling(benchmark, apache):
     )
     serial_records = gnats.parse_archive(archive)
     assert len(serial_records) == PARSE_STALL_RECORDS
+    archive = archive.encode("utf-8")
+    shard_bytes = len(archive) // PARSE_STALL_RANGES
+
+    def parse(workers):
+        return parse_archive_streamed(
+            fmt,
+            archive,
+            max_shard_bytes=shard_bytes,
+            workers=workers,
+            keep_records=True,
+        )
 
     wall = {}
     for workers in (1, 2, 4):
         best = float("inf")
         for _ in range(REPETITIONS):
             started = time.perf_counter()
-            parsed = parse_archive_sharded(fmt, archive, workers=workers)
+            parsed = parse(workers)
             best = min(best, time.perf_counter() - started)
             # Output equality: sharding can reorder completion, never
             # the record stream.
@@ -115,13 +130,7 @@ def test_bench_mining_parallel_parse_scaling(benchmark, apache):
         f"got {speedup_4:.2f}x ({wall[1]:.3f}s -> {wall[4]:.3f}s)"
     )
 
-    benchmark.pedantic(
-        parse_archive_sharded,
-        args=(fmt, archive),
-        kwargs={"workers": 4},
-        rounds=2,
-        iterations=1,
-    )
+    benchmark.pedantic(parse, args=(4,), rounds=2, iterations=1)
     benchmark.extra_info["wall_seconds"] = {
         str(workers): round(seconds, 4) for workers, seconds in wall.items()
     }

@@ -30,7 +30,6 @@ from repro.bugdb.segments import (
     SegmentedTextIndex,
     SegmentInfo,
     segment_from_index,
-    segmented_equal_to_monolithic,
 )
 from repro.bugdb.jsonstore import dump_database, load_database
 
@@ -39,7 +38,6 @@ __all__ = [
     "SegmentInfo",
     "SegmentedTextIndex",
     "segment_from_index",
-    "segmented_equal_to_monolithic",
     "TextIndex",
     "dump_database",
     "load_database",

@@ -39,7 +39,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro import fileio
 
@@ -627,33 +627,3 @@ class SegmentedTextIndex:
                 for group in self.compaction_candidates()
             ],
         }
-
-
-def segmented_equal_to_monolithic(
-    segmented: SegmentedTextIndex,
-    monolithic: TextIndex[int],
-    *,
-    probes: Iterable[str],
-    prefix: bool = True,
-    on_mismatch: Callable[[str], None] | None = None,
-) -> bool:
-    """True when every probe keyword returns identical doc-id sets.
-
-    The equivalence check used by tests and the scale benchmark: the
-    segmented index must answer exactly like the monolithic one for
-    every probe (prefix semantics by default, matching the mining
-    keyword filter).
-    """
-    equal = True
-    for keyword in probes:
-        seg_hits = (
-            segmented.lookup_prefix(keyword) if prefix else segmented.lookup(keyword)
-        )
-        mono_hits = (
-            monolithic.lookup_prefix(keyword) if prefix else monolithic.lookup(keyword)
-        )
-        if seg_hits != mono_hits:
-            equal = False
-            if on_mismatch is not None:
-                on_mismatch(keyword)
-    return equal

@@ -72,28 +72,6 @@ class TextIndex(Generic[DocId]):
         for doc_id, text in documents:
             self.add(doc_id, text)
 
-    def merge(self, other: "TextIndex[DocId]") -> None:
-        """Fold another index's postings into this one.
-
-        Used to combine per-shard partial indexes built in parallel:
-        each shard indexes its documents under globally unique ids, and
-        the merged index is identical to indexing every document
-        serially.  Document counts are exact for any id spaces: a doc id
-        present on both sides merges into one document (its postings
-        union), never counting twice.
-        """
-        new_tokens = False
-        for token, documents in other._postings.items():
-            postings = self._postings.get(token)
-            if postings is not None:
-                postings.extend(documents)
-            else:
-                self._postings[token] = list(documents)
-                new_tokens = True
-        self._doc_ids |= other._doc_ids
-        if new_tokens:
-            self._sorted_tokens = None
-
     def iter_postings(self) -> Iterable[tuple[str, list[DocId]]]:
         """``(token, sorted doc ids)`` pairs in ascending token order.
 

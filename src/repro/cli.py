@@ -131,15 +131,18 @@ def _cmd_mine_run(args: argparse.Namespace) -> int:
             if (args.cache_dir is not None and not args.no_cache)
             else None
         )
-        run = mine_archive_file(
-            application,
-            args.archive,
-            max_shard_bytes=args.max_shard_bytes or DEFAULT_MAX_SHARD_BYTES,
-            workers=args.workers,
-            cache=cache,
-            telemetry=MetricsRegistry(),
-            index_dir=args.index_dir,
-        )
+        try:
+            run = mine_archive_file(
+                application,
+                args.archive,
+                max_shard_bytes=args.max_shard_bytes or DEFAULT_MAX_SHARD_BYTES,
+                workers=args.workers,
+                cache=cache,
+                telemetry=MetricsRegistry(),
+                index_dir=args.index_dir,
+            )
+        except ValueError as error:
+            raise SystemExit(str(error)) from error
     else:
         if args.max_shard_bytes is not None or args.index_dir is not None:
             raise SystemExit(

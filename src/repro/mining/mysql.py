@@ -48,10 +48,9 @@ def message_search_text(message: MailMessage) -> str:
 def build_message_index(messages: list[MailMessage]) -> TextIndex[int]:
     """Inverted index over an archive, keyed by message position.
 
-    Positional ids (not message ids) keep the index mergeable across
-    contiguous shards: a shard indexes its messages under their global
-    archive positions and the merged index is identical to indexing the
-    whole archive serially.
+    Positional ids (not message ids) are what the streamed parser's
+    segmented index assigns too, committing per-range segments at their
+    archive offsets, so either index can back the keyword stage.
     """
     index: TextIndex[int] = TextIndex()
     for position, message in enumerate(messages):
@@ -154,8 +153,8 @@ def mine_mysql(
         keywords: keyword stems to filter messages with (ablatable).
         deduplicator: duplicate-reduction strategy.
         index: prebuilt positional index over ``messages`` (as built by
-            :func:`build_message_index`, possibly merged from parallel
-            shards); built here when omitted.
+            :func:`build_message_index`, or a segmented index the
+            streamed parser wrote); built here when omitted.
         threads: prebuilt ``group_threads(messages)``; grouped here when
             omitted.
     """

@@ -59,7 +59,7 @@ def parsed_archive(
     """Artifact: one application's raw archive, rendered and parsed.
 
     Uses the serial reference parse (`ArchiveFormat.parse`: split, then
-    ``parse_record`` per chunk), which the sharded fast path is asserted
+    ``parse_record`` per chunk), which the streamed parse driver is asserted
     bit-identical to, so graph outputs match the per-command paths by
     construction.  The rendered text is dropped once split and each
     chunk goes straight to its dict, so neither the text nor a list of

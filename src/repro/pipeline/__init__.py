@@ -9,20 +9,20 @@ traces bit-identical to the serial path:
 * :mod:`~repro.pipeline.formats` -- per-application
   :class:`~repro.pipeline.formats.ArchiveFormat` descriptors (render,
   record-boundary split, chunk parse, mine, cache codec, version tags);
-* :mod:`~repro.pipeline.shardparse` -- sharded parsing on the fork-based
-  :mod:`repro.harness` pool with order-preserving merge, building
-  partial inverted indexes as a parse by-product;
 * :mod:`~repro.pipeline.streamsplit` -- byte-offset record boundaries
-  over archive *files*: record-aligned shard byte-ranges scanned with
-  bounded memory, so multi-GB archives stream through
-  :func:`~repro.pipeline.shardparse.parse_archive_streamed` and land in
-  an LSM-style :class:`~repro.bugdb.segments.SegmentedTextIndex`;
+  over an archive file or its in-memory bytes: record-aligned shard
+  byte-ranges scanned with bounded memory;
+* :mod:`~repro.pipeline.shardparse` -- the one parse driver,
+  :func:`~repro.pipeline.shardparse.parse_archive_streamed`: parses
+  those ranges on the fork-based :mod:`repro.harness` pool with an
+  order-preserving merge, optionally landing them in an LSM-style
+  :class:`~repro.bugdb.segments.SegmentedTextIndex`;
 * :mod:`~repro.pipeline.cache` -- content-addressed (SHA-256 + version
   tag) on-disk parse/mine store with explicit invalidation;
 * :mod:`~repro.pipeline.records` -- JSON codecs for cached records;
 * :mod:`~repro.pipeline.runner` -- :func:`mine_archive_text` /
-  :func:`mine_application`, tying the stages together with
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+  :func:`mine_archive_file` / :func:`mine_application`, tying the
+  stages together with :class:`~repro.obs.metrics.MetricsRegistry`.
 
 **Equivalence contract**: for every application, any worker count, and
 any cache state, the pipeline's :class:`~repro.mining.pipeline.
@@ -33,11 +33,8 @@ from repro.pipeline.cache import CACHE_FORMAT_VERSION, ParseMineCache, archive_d
 from repro.pipeline.formats import FORMATS, ArchiveFormat, format_for
 from repro.pipeline.runner import PipelineRun, mine_application, mine_archive_text
 from repro.pipeline.shardparse import (
-    KIND_PARSE_SHARD,
     KIND_STREAM_SHARD,
-    ParsedArchive,
     StreamedParse,
-    parse_archive_sharded,
     parse_archive_streamed,
 )
 from repro.pipeline.streamsplit import (
@@ -45,7 +42,6 @@ from repro.pipeline.streamsplit import (
     format_byte_ranges,
     read_range,
     shard_byte_ranges,
-    split_file,
 )
 
 __all__ = [
@@ -53,10 +49,8 @@ __all__ = [
     "ByteRange",
     "CACHE_FORMAT_VERSION",
     "FORMATS",
-    "KIND_PARSE_SHARD",
     "KIND_STREAM_SHARD",
     "ParseMineCache",
-    "ParsedArchive",
     "PipelineRun",
     "StreamedParse",
     "archive_digest",
@@ -64,9 +58,7 @@ __all__ = [
     "format_for",
     "mine_application",
     "mine_archive_text",
-    "parse_archive_sharded",
     "parse_archive_streamed",
     "read_range",
     "shard_byte_ranges",
-    "split_file",
 ]

@@ -57,12 +57,13 @@ class ArchiveFormat:
             BugReport` -- even for MySQL, whose *records* are mail
             messages but whose miner folds threads into reports.
         index_text: when set, the text to index per record -- the
-            sharded parser then builds per-shard partial indexes as a
-            parse by-product and merges them for :attr:`mine`.
+            parse driver can then stage per-range segments of an
+            on-disk index as a parse by-product.
         boundary_marker: the record-boundary marker :attr:`split` cuts
             on, as text -- lets :mod:`repro.pipeline.streamsplit` find
-            the same boundaries as byte offsets in a file without
-            loading it.  None means the format has no streaming path.
+            the same boundaries as byte offsets, so the parse driver can
+            shard an archive into byte ranges.  None means the format
+            cannot go through the driver.
         boundary_line_anchored: the marker only counts at a line start
             (mbox ``^From ``); False means plain substring semantics
             (gnats/debbugs ``str.split``).

@@ -1,16 +1,16 @@
 """The end-to-end fast archive path: render -> parse -> mine, cached.
 
-:func:`mine_archive_text` is the pipeline's core: given raw archive
-text, it returns the mined study set exactly as the serial
-``parse_archive`` + ``mine_*`` path would, but parses in parallel
-shards, prefilters keywords through the inverted index built as a parse
-by-product, and short-circuits through the content-addressed cache when
-the same bytes were mined before.  :func:`mine_archive_file` does the
-same for an archive file, parsed as streamed byte ranges; both supply a
-digest and a parse call to one cached parse -> mine body, the only
-reader and writer of the ``parse.*`` and ``mine.*`` cache entries.
-:func:`mine_application` is the render-first convenience used by the
-CLI and benchmarks.
+:func:`mine_archive_text` (raw archive text) and
+:func:`mine_archive_file` (an archive file) return the mined study set
+exactly as the serial ``fmt.parse`` + ``mine_*`` path would.  Both parse
+through the one driver,
+:func:`~repro.pipeline.shardparse.parse_archive_streamed` -- text as its
+encoded bytes, a file by path, cut into the same record-aligned byte
+ranges -- and both supply a digest and that parse call to one cached
+parse -> mine body, the only reader and writer of the ``parse.*`` and
+``mine.*`` cache entries, which short-circuits when the same bytes were
+mined before.  :func:`mine_application` is the render-first convenience
+used by the CLI and benchmarks.
 
 Equivalence contract: for every application, any worker count, and any
 cache state, the returned :class:`~repro.mining.pipeline.MiningResult`
@@ -33,7 +33,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import records as _records
 from repro.pipeline.cache import ParseMineCache, archive_digest, archive_file_digest
 from repro.pipeline.formats import ArchiveFormat, format_for
-from repro.pipeline.shardparse import parse_archive_sharded, parse_archive_streamed
+from repro.pipeline.shardparse import parse_archive_streamed
 from repro.pipeline.streamsplit import DEFAULT_MAX_SHARD_BYTES
 
 
@@ -62,16 +62,6 @@ class PipelineRun:
     def summary_lines(self) -> list[str]:
         """Human-readable pipeline footer for the CLI."""
         lines = []
-        parse = self.telemetry.timer("parse.wall")
-        if parse.count:
-            lines.append(
-                f"parse: {parse.total * 1000:.1f} ms across "
-                f"{self.telemetry.gauge_value('parse.shards'):.0f} shard(s), "
-                f"{self.telemetry.gauge_value('parse.worker_processes'):.0f} "
-                f"worker process(es) "
-                f"({self.telemetry.gauge_value('parse.shard_utilization'):.0%} "
-                "shard utilization)"
-            )
         stream = self.telemetry.timer("stream.wall")
         if stream.count:
             mb = self.telemetry.counter("stream.bytes") / (1024 * 1024)
@@ -205,6 +195,9 @@ def mine_archive_text(
 ) -> PipelineRun:
     """Mine raw archive text through the fast path.
 
+    The text is parsed as its UTF-8 bytes, cut into the same byte ranges
+    (at the default shard budget) as the same archive read from a file.
+
     Args:
         application: which archive format/miner to use.
         text: the raw archive.
@@ -216,8 +209,12 @@ def mine_archive_text(
     return _mine_cached(
         application,
         archive_digest(text),
-        lambda fmt: parse_archive_sharded(
-            fmt, text, workers=workers, telemetry=telemetry
+        lambda fmt: parse_archive_streamed(
+            fmt,
+            text.encode("utf-8"),
+            workers=workers,
+            telemetry=telemetry,
+            keep_records=True,
         ),
         cache=cache,
         read_cache=True,
@@ -254,11 +251,10 @@ def mine_archive_file(
     *reads* are bypassed so the parse that builds the segmented index
     always runs — otherwise a warm cache would silently skip the
     requested on-disk artifact.  An already-populated index is left
-    as-is and cache hits short-circuit as usual.
+    as-is and cache hits short-circuit as usual.  ``index_dir`` for a
+    format without ``index_text`` raises the driver's ``ValueError``.
     """
-    fmt = format_for(application)
     telemetry = telemetry if telemetry is not None else MetricsRegistry()
-    use_index = index_dir is not None and fmt.index_text is not None
     return _mine_cached(
         application,
         archive_file_digest(path),
@@ -268,12 +264,14 @@ def mine_archive_file(
             max_shard_bytes=max_shard_bytes,
             workers=workers,
             telemetry=telemetry,
-            index_dir=index_dir if use_index else None,
+            index_dir=index_dir,
             keep_records=True,
         ),
         cache=cache,
-        read_cache=not (
-            use_index and SegmentedTextIndex(index_dir).document_count == 0
+        read_cache=(
+            cache is None
+            or index_dir is None
+            or SegmentedTextIndex(index_dir).document_count > 0
         ),
         telemetry=telemetry,
         workers=workers,

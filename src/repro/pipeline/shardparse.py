@@ -1,19 +1,18 @@
-"""Parallel sharded archive parsing on the repro.harness worker pool.
+"""The archive parse driver: record-aligned byte ranges on the worker pool.
 
-The splitters in :mod:`repro.bugdb` cut an archive into per-record
-chunks with one cheap boundary scan; this module shards those chunks
-contiguously and parses the shards on the fork-based
+An archive -- a file path, or its UTF-8 bytes already in memory (see
+:data:`~repro.pipeline.streamsplit.ArchiveSource`) -- is cut into
+record-aligned byte ranges of at most ``max_shard_bytes``
+(:mod:`repro.pipeline.streamsplit`); each range is read, split, and
+parsed on its own, serially or on the fork-based
 :class:`~repro.harness.pool.WorkerPool`.  Results are reassembled in
-submission order (keyed by work-unit content hash), so the record list
-is bit-identical to the serial ``parse_archive`` path for any worker
-count -- sharding can reorder *completion*, never *output*.
+range order (keyed by work-unit content hash), so the record list is
+identical to the serial ``fmt.parse`` reference for any worker count and
+shard budget -- sharding can reorder *completion*, never *output*.
 
-When the format defines :attr:`~repro.pipeline.formats.ArchiveFormat.
-index_text`, every shard also builds a partial inverted index over its
-records (keyed by global archive position) as a parse by-product; the
-partials merge into one :class:`~repro.bugdb.textindex.TextIndex`
-identical to indexing the archive serially.  This is what makes the
-index-backed keyword prefilter effectively free on the parallel path.
+With ``index_dir``, every range also stages a write-ahead segment of an
+LSM-style :class:`~repro.bugdb.segments.SegmentedTextIndex` as a parse
+by-product.
 """
 
 from __future__ import annotations
@@ -22,202 +21,40 @@ import dataclasses
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro import obs
 from repro.bugdb.segments import SegmentedTextIndex, segment_from_index
 from repro.bugdb.textindex import TextIndex
 from repro.harness.pool import UnitExecution, WorkerPool
-from repro.harness.shard import assemble_results, shard_count_for, shard_units
+from repro.harness.shard import assemble_results
 from repro.harness.workunit import WorkUnit
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.formats import ArchiveFormat
 from repro.pipeline.streamsplit import (
     DEFAULT_MAX_SHARD_BYTES,
+    ArchiveSource,
     ByteRange,
     format_byte_ranges,
     read_range,
 )
 
-#: Work-unit kind for parse shards (appears in unit keys and telemetry).
-KIND_PARSE_SHARD = "parse-shard"
-
-#: Work-unit kind for streaming byte-range shards.
+#: Work-unit kind for byte-range shards (appears in unit keys and telemetry).
 KIND_STREAM_SHARD = "stream-shard"
 
 
 @dataclasses.dataclass
-class ParsedArchive:
-    """The outcome of parsing one archive.
-
-    Attributes:
-        records: parsed records in archive order (identical to the
-            serial ``parse_archive`` output for any worker count).
-        index: merged positional inverted index over the records, when
-            the format defines ``index_text``; None otherwise.
-        shards: number of shards the parse ran in (1 on the serial path).
-        workers: worker processes requested.
-        worker_pids: distinct process ids that executed shards.
-        wall_seconds: end-to-end parse wall time.
-    """
-
-    records: list[Any]
-    index: TextIndex | None
-    shards: int
-    workers: int
-    worker_pids: tuple[int, ...]
-    wall_seconds: float
-
-    @property
-    def shard_utilization(self) -> float:
-        """Fraction of usable workers that actually executed shards."""
-        usable = max(1, min(self.workers, self.shards))
-        return len(self.worker_pids) / usable
-
-
-def _build_partial_index(
-    fmt: ArchiveFormat, records: list[Any], start: int
-) -> TextIndex | None:
-    if fmt.index_text is None:
-        return None
-    index: TextIndex = TextIndex()
-    for offset, record in enumerate(records):
-        index.add(start + offset, fmt.index_text(record))
-    return index
-
-
-def _parse_shard_runner(unit: WorkUnit, context: Any) -> dict[str, Any]:
-    """Parse one shard of chunks (worker side).
-
-    The chunk shards travel to workers through fork inheritance (the
-    pool's context), not pickling, so the archive text is never copied
-    through the result queue; only parsed records come back.
-    """
-    fmt, shards = context
-    params = unit.params_dict()
-    chunks = shards[params["shard"]]
-    records = [fmt.parse_record(chunk) for chunk in chunks]
-    return {
-        "records": records,
-        "index": _build_partial_index(fmt, records, params["start"]),
-    }
-
-
-def parse_archive_sharded(
-    fmt: ArchiveFormat,
-    text: str,
-    *,
-    workers: int = 1,
-    telemetry: MetricsRegistry | None = None,
-) -> ParsedArchive:
-    """Parse an archive, in parallel shards when ``workers > 1``.
-
-    Args:
-        fmt: the archive's format descriptor.
-        text: raw archive text.
-        workers: worker processes; 1 (or a platform without fork)
-            selects the serial reference path.
-        telemetry: optional sink for parse timers/counters/gauges.
-
-    The record list (and merged index) is identical to the serial path
-    for any worker count.
-    """
-    telemetry = telemetry if telemetry is not None else MetricsRegistry()
-    with obs.span(
-        f"parse:{fmt.application.value}", workers=max(1, workers)
-    ) as parse_span:
-        started = time.monotonic()
-        chunks = fmt.split(text)
-        telemetry.observe("parse.split", time.monotonic() - started)
-        telemetry.count("parse.chunks", len(chunks))
-        parse_span.set(chunks=len(chunks))
-
-        pool = WorkerPool(max(1, workers))
-        if not pool.parallel or len(chunks) < 2:
-            records = [fmt.parse_record(chunk) for chunk in chunks]
-            index = _build_partial_index(fmt, records, 0)
-            wall = time.monotonic() - started
-            telemetry.observe("parse.wall", wall)
-            telemetry.gauge("parse.shards", 1)
-            telemetry.gauge("parse.worker_processes", 1)
-            telemetry.gauge("parse.shard_utilization", 1.0)
-            parse_span.set(shards=1)
-            return ParsedArchive(
-                records=records,
-                index=index,
-                shards=1,
-                workers=pool.workers,
-                worker_pids=(os.getpid(),),
-                wall_seconds=wall,
-            )
-
-        shards = shard_units(chunks, shard_count_for(len(chunks), pool.workers))
-        starts, offset = [], 0
-        for shard in shards:
-            starts.append(offset)
-            offset += len(shard)
-        units = [
-            WorkUnit.build(
-                KIND_PARSE_SHARD,
-                f"{fmt.application.value}:shard{position:05d}",
-                params={
-                    "shard": position,
-                    "start": starts[position],
-                    "chunks": len(shard),
-                },
-            )
-            for position, shard in enumerate(shards)
-        ]
-
-        executions: dict[str, UnitExecution] = {}
-
-        def on_unit(execution: UnitExecution) -> None:
-            executions[execution.key] = execution
-            telemetry.observe("parse.shard.wall", execution.wall_seconds)
-            telemetry.observe("parse.shard.queue", execution.queue_seconds)
-
-        pool.execute(units, _parse_shard_runner, (fmt, shards), on_unit=on_unit)
-        ordered = assemble_results(units, executions)
-
-        with obs.span("parse:merge", shards=len(shards)):
-            records = []
-            index = TextIndex() if fmt.index_text is not None else None
-            for execution in ordered:
-                records.extend(execution.result["records"])
-                if index is not None:
-                    index.merge(execution.result["index"])
-
-        pids = tuple(sorted({execution.worker_pid for execution in ordered}))
-        wall = time.monotonic() - started
-        telemetry.observe("parse.wall", wall)
-        telemetry.gauge("parse.shards", len(shards))
-        telemetry.gauge("parse.worker_processes", len(pids))
-        parse_span.set(shards=len(shards))
-        parsed = ParsedArchive(
-            records=records,
-            index=index,
-            shards=len(shards),
-            workers=pool.workers,
-            worker_pids=pids,
-            wall_seconds=wall,
-        )
-        telemetry.gauge("parse.shard_utilization", parsed.shard_utilization)
-        return parsed
-
-
-@dataclasses.dataclass
 class StreamedParse:
-    """The outcome of streaming one archive file through the parser.
+    """The outcome of streaming one archive through the parser.
 
-    Unlike :class:`ParsedArchive`, records are **not retained** unless
-    asked for: the streaming path exists so that multi-GB archives parse
-    and index with memory bounded by ``max_shard_bytes``, independent of
-    corpus size.
+    Records are **not retained** unless asked for, so multi-GB archive
+    files parse and index with memory bounded by ``max_shard_bytes``,
+    independent of corpus size.
 
     Attributes:
         record_count: records parsed across all byte-ranges.
         bytes_total: archive bytes consumed.
-        ranges: shard byte-ranges the file was cut into.
+        ranges: shard byte-ranges the archive was cut into.
         shards: number of ranges (== ``len(ranges)``).
         workers: worker processes requested.
         worker_pids: distinct process ids that executed ranges.
@@ -274,23 +111,37 @@ def _index_range_records(
     return name
 
 
+def _parse_range(
+    fmt: ArchiveFormat,
+    source: ArchiveSource,
+    byte_range: ByteRange,
+    index_root: Path | None,
+    wal_name: str | None,
+) -> tuple[list[Any], str | None]:
+    """Parse one byte-range; stage its index segment when indexing."""
+    records = [
+        fmt.parse_record(chunk) for chunk in fmt.split(read_range(source, byte_range))
+    ]
+    if index_root is None:
+        return records, None
+    return records, _index_range_records(fmt, records, index_root, wal_name)
+
+
 def _stream_shard_runner(unit: WorkUnit, context: Any) -> dict[str, Any]:
     """Parse one byte-range (worker side).
 
-    Workers read their own range straight from the file — the archive
-    text never crosses the fork or the result queue.  When indexing,
-    the worker writes a staged write-ahead segment under local ids and
-    sends back only its name; the parent later assigns doc bases by
-    committing segments in range order.
+    Workers read their own range from the source -- a file, or the
+    in-memory bytes inherited through the fork -- so archive text never
+    crosses the result queue.  When indexing, the worker writes a staged
+    write-ahead segment under local ids and sends back only its name;
+    the parent later assigns doc bases by committing segments in range
+    order.
     """
-    fmt, path, ranges, index_root, wal_names, keep_records = context
-    params = unit.params_dict()
-    position = params["range"]
-    byte_range = ranges[position]
-    records = [fmt.parse_record(chunk) for chunk in fmt.split(read_range(path, byte_range))]
-    segment = None
-    if index_root is not None:
-        segment = _index_range_records(fmt, records, index_root, wal_names[position])
+    fmt, source, ranges, index_root, wal_names, keep_records = context
+    position = unit.params_dict()["range"]
+    records, segment = _parse_range(
+        fmt, source, ranges[position], index_root, wal_names[position]
+    )
     return {
         "count": len(records),
         "segment": segment,
@@ -300,35 +151,29 @@ def _stream_shard_runner(unit: WorkUnit, context: Any) -> dict[str, Any]:
 
 def parse_archive_streamed(
     fmt: ArchiveFormat,
-    path: str | os.PathLike,
+    source: ArchiveSource,
     *,
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
     workers: int = 1,
     telemetry: MetricsRegistry | None = None,
     index_dir: str | os.PathLike | None = None,
     keep_records: bool = False,
-    consumer: Callable[[int, list[Any]], None] | None = None,
 ) -> StreamedParse:
-    """Parse an archive **file** in byte-range shards with bounded memory.
+    """Parse an archive in byte-range shards with bounded memory.
 
-    Shards are record-aligned byte-ranges of at most ``max_shard_bytes``
-    (see :mod:`repro.pipeline.streamsplit`); each is read, split, and
-    parsed independently, so peak memory tracks the shard budget — not
-    the archive.  With ``index_dir`` (requires the format to define
+    ``source`` is a file path or the archive's UTF-8 bytes; the same
+    bytes give the same ranges and records either way.  Shards are
+    record-aligned byte-ranges of at most ``max_shard_bytes`` (see
+    :mod:`repro.pipeline.streamsplit`); each is read, split, and parsed
+    independently, so for a file peak memory tracks the shard budget --
+    not the archive.  With ``index_dir`` (requires the format to define
     ``index_text``), every shard stages a write-ahead index segment and
     the parent commits them in range order: the resulting
     :class:`SegmentedTextIndex` is query-identical to indexing the whole
-    archive serially under global positional ids.
-
-    ``consumer(range_index, records)`` receives each range's records in
-    archive order.  On the serial path records stream straight to the
-    consumer and are dropped; with ``workers > 1`` records return
-    through the result queue first (use serial streaming when the
-    archive is too large to rematerialize).  ``keep_records=True``
-    additionally retains the full record list on the result.
+    archive serially under global positional ids.  ``keep_records=True``
+    retains the full record list on the result, in archive order.
     """
     telemetry = telemetry if telemetry is not None else MetricsRegistry()
-    path = Path(path)
     if index_dir is not None and fmt.index_text is None:
         raise ValueError(
             f"format {fmt.application.value} defines no index_text; "
@@ -342,7 +187,7 @@ def parse_archive_streamed(
     ) as stream_span:
         started = time.monotonic()
         with telemetry.timed("stream.split"):
-            ranges = format_byte_ranges(fmt, path, max_shard_bytes=max_shard_bytes)
+            ranges = format_byte_ranges(fmt, source, max_shard_bytes=max_shard_bytes)
         bytes_total = sum(byte_range.size for byte_range in ranges)
         telemetry.count("stream.ranges", len(ranges))
         telemetry.count("stream.bytes", bytes_total)
@@ -354,26 +199,23 @@ def parse_archive_streamed(
         # from the index's persistent id counter, so a second run against
         # the same index_dir appends new segments instead of overwriting
         # the earlier run's wal-*.seg files.
-        wal_names = index.reserve_segment_names(len(ranges)) if index is not None else []
+        wal_names = (
+            index.reserve_segment_names(len(ranges))
+            if index is not None
+            else [None] * len(ranges)
+        )
         segment_names: list[str] = []
         record_count = 0
 
         if not pool.parallel or len(ranges) < 2:
             for position, byte_range in enumerate(ranges):
                 with telemetry.timed("stream.range.wall"):
-                    records = [
-                        fmt.parse_record(chunk)
-                        for chunk in fmt.split(read_range(path, byte_range))
-                    ]
-                    if index_root is not None:
-                        name = _index_range_records(
-                            fmt, records, index_root, wal_names[position]
-                        )
-                        if name is not None:
-                            segment_names.append(name)
+                    records, segment = _parse_range(
+                        fmt, source, byte_range, index_root, wal_names[position]
+                    )
+                if segment is not None:
+                    segment_names.append(segment)
                 record_count += len(records)
-                if consumer is not None:
-                    consumer(position, records)
                 if kept is not None:
                     kept.extend(records)
             pids: tuple[int, ...] = (os.getpid(),)
@@ -400,26 +242,17 @@ def parse_archive_streamed(
             pool.execute(
                 units,
                 _stream_shard_runner,
-                (
-                    fmt,
-                    path,
-                    ranges,
-                    index_root,
-                    wal_names,
-                    keep_records or consumer is not None,
-                ),
+                (fmt, source, ranges, index_root, wal_names, keep_records),
                 on_unit=on_unit,
             )
             ordered = assemble_results(units, executions)
-            for position, execution in enumerate(ordered):
+            for execution in ordered:
                 result = execution.result
                 record_count += result["count"]
                 if result["segment"] is not None:
                     segment_names.append(result["segment"])
-                if consumer is not None:
-                    consumer(position, result["records"] or [])
                 if kept is not None:
-                    kept.extend(result["records"] or [])
+                    kept.extend(result["records"])
             pids = tuple(sorted({execution.worker_pid for execution in ordered}))
 
         if index is not None and segment_names:

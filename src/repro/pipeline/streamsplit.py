@@ -2,10 +2,15 @@
 
 The in-memory splitters in :mod:`repro.bugdb` need the whole archive as
 one ``str``; at 1M+ reports (multi-GB) that alone blows the memory
-budget.  This module finds the same record boundaries **as byte offsets
-in a file**, scanning block-by-block with bounded memory, and cuts the
-file into *shard byte-ranges* that each start exactly on a record
+budget.  This module finds the same record boundaries **as byte
+offsets**, scanning block-by-block with bounded memory, and cuts the
+archive into *shard byte-ranges* that each start exactly on a record
 boundary.
+
+An archive source is either a file path or the archive's UTF-8 bytes
+already in memory (:data:`ArchiveSource`); the same bytes give the same
+ranges either way, so in-memory text is just another source for the
+one streamed parser in :mod:`repro.pipeline.shardparse`.
 
 The equivalence contract (asserted in tests on the full 44k archives):
 for any ``max_shard_bytes``, reading each range, splitting it with the
@@ -33,12 +38,15 @@ decodes independently.
 from __future__ import annotations
 
 import dataclasses
+import io
 import os
-from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO, Iterator, Union
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 DEFAULT_MAX_SHARD_BYTES = 8 << 20
+
+#: An archive file path, or the archive's UTF-8 encoded bytes in memory.
+ArchiveSource = Union[str, os.PathLike, bytes]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,29 +108,15 @@ def iter_cut_points(
             scan = max(scan - tail_start, 0)
 
 
-def scan_cut_points(
-    path: str | os.PathLike,
-    marker: bytes,
-    *,
-    line_anchored: bool = False,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Iterator[int]:
-    """:func:`iter_cut_points` over a file path."""
-    with open(path, "rb") as handle:
-        yield from iter_cut_points(
-            handle, marker, line_anchored=line_anchored, block_size=block_size
-        )
-
-
 def shard_byte_ranges(
-    path: str | os.PathLike,
+    source: ArchiveSource,
     marker: bytes,
     *,
     line_anchored: bool = False,
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[ByteRange]:
-    """Cut a file into record-aligned ranges of at most ``max_shard_bytes``.
+    """Cut an archive into record-aligned ranges of at most ``max_shard_bytes``.
 
     Every range starts at byte 0 or at a boundary marker offset, so each
     can be read, decoded, and split independently.  A range only exceeds
@@ -131,26 +125,30 @@ def shard_byte_ranges(
     """
     if max_shard_bytes <= 0:
         raise ValueError("max_shard_bytes must be positive")
-    total = os.path.getsize(path)
+    if isinstance(source, bytes):
+        total, handle = len(source), io.BytesIO(source)
+    else:
+        total, handle = os.path.getsize(source), open(source, "rb")
     ranges: list[ByteRange] = []
     start = 0
     pending: int | None = None  # last cut seen after `start`, not yet closed on
-    for cut in scan_cut_points(
-        path, marker, line_anchored=line_anchored, block_size=block_size
-    ):
-        if cut <= start:
-            continue
-        if cut - start > max_shard_bytes:
-            if pending is not None:
-                ranges.append(ByteRange(start, pending))
-                start = pending
-                pending = None
-            if cut - start > max_shard_bytes:
-                # A single oversized record (or head) gets its own range.
-                ranges.append(ByteRange(start, cut))
-                start = cut
+    with handle:
+        for cut in iter_cut_points(
+            handle, marker, line_anchored=line_anchored, block_size=block_size
+        ):
+            if cut <= start:
                 continue
-        pending = cut
+            if cut - start > max_shard_bytes:
+                if pending is not None:
+                    ranges.append(ByteRange(start, pending))
+                    start = pending
+                    pending = None
+                if cut - start > max_shard_bytes:
+                    # A single oversized record (or head) gets its own range.
+                    ranges.append(ByteRange(start, cut))
+                    start = cut
+                    continue
+            pending = cut
     if total > start:
         if pending is not None and total - start > max_shard_bytes:
             # Close at the last boundary first so only a single
@@ -161,35 +159,20 @@ def shard_byte_ranges(
     return ranges
 
 
-def read_range(path: str | os.PathLike, byte_range: ByteRange) -> str:
+def read_range(source: ArchiveSource, byte_range: ByteRange) -> str:
     """Read and decode one shard byte-range."""
-    with open(path, "rb") as handle:
-        handle.seek(byte_range.start)
-        payload = handle.read(byte_range.size)
+    if isinstance(source, bytes):
+        payload = source[byte_range.start : byte_range.end]
+    else:
+        with open(source, "rb") as handle:
+            handle.seek(byte_range.start)
+            payload = handle.read(byte_range.size)
     return payload.decode("utf-8")
-
-
-def split_file(
-    fmt: Any,
-    path: str | os.PathLike,
-    *,
-    max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Iterator[list[str]]:
-    """Stream an archive file as per-range record-chunk lists.
-
-    Concatenating the yielded lists equals ``fmt.split`` of the whole
-    file — with memory bounded by the largest range, not the archive.
-    """
-    for byte_range in format_byte_ranges(
-        fmt, path, max_shard_bytes=max_shard_bytes, block_size=block_size
-    ):
-        yield fmt.split(read_range(path, byte_range))
 
 
 def format_byte_ranges(
     fmt: Any,
-    path: str | os.PathLike,
+    source: ArchiveSource,
     *,
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
     block_size: int = DEFAULT_BLOCK_SIZE,
@@ -200,7 +183,7 @@ def format_byte_ranges(
             f"format {fmt.application.value} declares no record-boundary marker"
         )
     return shard_byte_ranges(
-        Path(path),
+        source,
         fmt.boundary_marker.encode("utf-8"),
         line_anchored=fmt.boundary_line_anchored,
         max_shard_bytes=max_shard_bytes,

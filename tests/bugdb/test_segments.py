@@ -9,10 +9,10 @@ from repro.bugdb.segments import (
     SegmentedTextIndex,
     SegmentError,
     segment_from_index,
-    segmented_equal_to_monolithic,
     write_segment,
 )
 from repro.bugdb.textindex import TextIndex
+from tests.oracles import segmented_equal_to_monolithic
 
 TEXTS = [
     "the server crashed during startup",

@@ -73,81 +73,6 @@ class TestTextIndex:
         assert index.search_any(MYSQL_STUDY_KEYWORDS) == linear_hits
 
 
-class TestMerge:
-    def test_merge_combines_postings(self):
-        left = TextIndex()
-        left.add("d1", "server crashed")
-        right = TextIndex()
-        right.add("d2", "another crash; a race too")
-        left.merge(right)
-        assert left.lookup("crashed") == {"d1"}
-        assert left.lookup("crash") == {"d2"}
-        assert left.lookup("race") == {"d2"}
-
-    def test_merge_equals_serial_indexing(self):
-        texts = [
-            "server crashed during startup",
-            "question about LEFT JOIN",
-            "a race between threads",
-            "segmentation fault in the parser",
-        ]
-        serial = TextIndex()
-        for position, text in enumerate(texts):
-            serial.add(position, text)
-        left, right = TextIndex(), TextIndex()
-        for position, text in enumerate(texts):
-            (left if position < 2 else right).add(position, text)
-        left.merge(right)
-        assert left.document_count == serial.document_count
-        assert left.search_any(MYSQL_STUDY_KEYWORDS) == (
-            serial.search_any(MYSQL_STUDY_KEYWORDS)
-        )
-        for token in ("server", "race", "segmentation", "join"):
-            assert left.lookup_prefix(token) == serial.lookup_prefix(token)
-
-    def test_prefix_queries_see_merged_tokens(self):
-        # merge must invalidate the sorted-token cache built by an
-        # earlier prefix query.
-        left = TextIndex()
-        left.add("d1", "server crashed")
-        assert left.lookup_prefix("crash") == {"d1"}
-        right = TextIndex()
-        right.add("d2", "crashing again")
-        left.merge(right)
-        assert left.lookup_prefix("crash") == {"d1", "d2"}
-
-    def test_merge_empty_index_is_a_no_op(self):
-        index = TextIndex()
-        index.add("d1", "server crashed")
-        index.merge(TextIndex())
-        assert index.document_count == 1
-        assert index.lookup("crashed") == {"d1"}
-
-    def test_merge_never_double_counts_shared_doc_ids(self):
-        # both sides indexed the same document (e.g. a record on a shard
-        # boundary); the merged count is distinct documents, not a sum.
-        left, right = TextIndex(), TextIndex()
-        left.add("d1", "server crashed")
-        left.add("d2", "race condition")
-        right.add("d2", "race condition")
-        right.add("d3", "deadlock found")
-        left.merge(right)
-        assert left.document_count == 3
-        assert left.lookup("race") == {"d2"}
-
-    def test_merge_with_no_new_tokens_keeps_prefix_cache(self):
-        left, right = TextIndex(), TextIndex()
-        left.add("d1", "server crashed")
-        right.add("d2", "server crashed")
-        assert left.lookup_prefix("crash") == {"d1"}
-        cache = left._sorted_tokens
-        assert cache is not None
-        left.merge(right)
-        # same token set: the sorted cache survives and stays correct
-        assert left._sorted_tokens is cache
-        assert left.lookup_prefix("crash") == {"d1", "d2"}
-
-
 class TestSortedTokenCache:
     def test_add_existing_token_does_not_invalidate(self):
         index = TextIndex()
@@ -201,22 +126,6 @@ class TestListPostings:
             "crashed": [3],
             "server": [3],
         }
-
-    def test_merge_with_overlapping_ids(self):
-        left, right = TextIndex(), TextIndex()
-        left.add(1, "crash race")
-        left.add(4, "crash")
-        right.add(4, "crash died")
-        right.add(2, "race")
-        left.merge(right)
-        assert dict(left.iter_postings()) == {
-            "crash": [1, 4],
-            "died": [4],
-            "race": [1, 2],
-        }
-        assert left.lookup("crash") == {1, 4}
-        assert left.lookup_prefix("r") == {1, 2}
-        assert left.document_count == 3
 
     def test_lookups_return_fresh_sets(self):
         index = TextIndex()

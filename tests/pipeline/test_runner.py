@@ -153,7 +153,8 @@ class TestSummaryLines:
             corpus=mysql,
         )
         lines = "\n".join(run.summary_lines())
-        assert "parse:" in lines
+        assert "stream:" in lines
+        assert "parse:" not in lines
         assert "mine:" in lines
         assert "cache: mine miss, parse miss" in lines
         assert "pipeline total:" in lines

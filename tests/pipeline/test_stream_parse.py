@@ -1,19 +1,17 @@
-"""Tests for the streaming byte-range parse and the file-fed pipeline."""
+"""Tests for the one archive parse driver and the pipelines on top of it."""
 
 import pytest
 
 from repro.bugdb.enums import Application
-from repro.bugdb.segments import SegmentedTextIndex, segmented_equal_to_monolithic
+from repro.bugdb.segments import SegmentedTextIndex
 from repro.obs import MetricsRegistry
 from repro.mining.keywords import MYSQL_STUDY_KEYWORDS
-from repro.pipeline import (
-    format_for,
-    mine_application,
-    parse_archive_sharded,
-    parse_archive_streamed,
-)
+from repro.mining.mysql import build_message_index
+from repro.pipeline import format_for, mine_application, parse_archive_streamed
 from repro.pipeline.cache import ParseMineCache, archive_digest, archive_file_digest
-from repro.pipeline.runner import mine_archive_file
+from repro.pipeline.runner import mine_archive_file, mine_archive_text
+from repro.pipeline.streamsplit import DEFAULT_MAX_SHARD_BYTES
+from tests.oracles import segmented_equal_to_monolithic
 
 SCALES = {
     Application.APACHE: 400,
@@ -34,6 +32,85 @@ def archive_files(study, tmp_path_factory):
         path.write_text(text, encoding="utf-8")
         paths[application] = (path, text)
     return paths
+
+
+def monolithic_index(fmt, text):
+    """The in-memory positional index the study builds over ``text``."""
+    return build_message_index(fmt.parse(text))
+
+
+@pytest.fixture(scope="module")
+def driver_inputs(archive_files, tmp_path_factory):
+    """Named archives for the text-vs-file check: application, path, text.
+
+    Besides the three rendered archives: a MySQL archive whose final
+    message is torn off mid-body, and a one-record Apache archive.
+    """
+    from repro.bugdb import gnats
+
+    root = tmp_path_factory.mktemp("driver-inputs")
+    inputs = {
+        application.value: (application, path, text)
+        for application, (path, text) in archive_files.items()
+    }
+    mysql_text = archive_files[Application.MYSQL][1]
+    last_body = mysql_text.index("\n\n", mysql_text.rindex("\nFrom "))
+    torn = mysql_text[: (last_body + len(mysql_text)) // 2]
+    apache = format_for(Application.APACHE)
+    single = gnats.render_archive(
+        apache.parse(archive_files[Application.APACHE][1])[:1]
+    )
+    for name, application, text in (
+        ("torn", Application.MYSQL, torn),
+        ("single", Application.APACHE, single),
+    ):
+        path = root / f"{name}.archive"
+        path.write_text(text, encoding="utf-8")
+        inputs[name] = (application, path, text)
+    return inputs
+
+
+class TestOneDriver:
+    """In-memory text and a file of the same bytes: one driver, one answer."""
+
+    @pytest.mark.parametrize(
+        "max_shard_bytes", [64 << 10, DEFAULT_MAX_SHARD_BYTES], ids=["64KiB", "default"]
+    )
+    @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
+    @pytest.mark.parametrize("source", ["text", "file"])
+    @pytest.mark.parametrize(
+        "name", ["apache", "gnome", "mysql", "torn", "single"]
+    )
+    def test_text_and_file_agree(
+        self, driver_inputs, name, source, workers, max_shard_bytes
+    ):
+        application, path, text = driver_inputs[name]
+        fmt = format_for(application)
+        sources = {"text": text.encode("utf-8"), "file": path}
+        other = "file" if source == "text" else "text"
+
+        parsed = parse_archive_streamed(
+            fmt,
+            sources[source],
+            max_shard_bytes=max_shard_bytes,
+            workers=workers,
+            keep_records=True,
+        )
+        serial = fmt.parse(text)
+        assert parsed.records == serial
+        assert parsed.ranges == parse_archive_streamed(
+            fmt, sources[other], max_shard_bytes=max_shard_bytes
+        ).ranges
+
+        if source == "text":
+            run = mine_archive_text(application, text, workers=workers)
+        else:
+            run = mine_archive_file(
+                application, path, max_shard_bytes=max_shard_bytes, workers=workers
+            )
+        reference = fmt.mine(serial, None)
+        assert run.result.items == reference.items
+        assert run.result.trace.as_rows() == reference.trace.as_rows()
 
 
 class TestStreamedEquivalence:
@@ -60,25 +137,6 @@ class TestStreamedEquivalence:
         streamed = parse_archive_streamed(fmt, path, max_shard_bytes=64 << 10)
         assert streamed.records is None
         assert streamed.record_count == len(fmt.parse(text))
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_consumer_sees_ranges_in_archive_order(
-        self, archive_files, workers
-    ):
-        fmt = format_for(Application.MYSQL)
-        path, text = archive_files[Application.MYSQL]
-        seen = []
-
-        def consumer(position, records):
-            seen.append((position, records))
-
-        parse_archive_streamed(
-            fmt, path, max_shard_bytes=64 << 10, workers=workers,
-            consumer=consumer,
-        )
-        assert [position for position, _ in seen] == list(range(len(seen)))
-        collected = [record for _, records in seen for record in records]
-        assert collected == fmt.parse(text)
 
     def test_telemetry_counters(self, archive_files):
         fmt = format_for(Application.MYSQL)
@@ -108,7 +166,7 @@ class TestStreamedIndex:
         )
         assert streamed.index is not None
         assert streamed.index.document_count == streamed.record_count
-        monolithic = parse_archive_sharded(fmt, text).index
+        monolithic = monolithic_index(fmt, text)
         assert segmented_equal_to_monolithic(
             streamed.index, monolithic, probes=MYSQL_STUDY_KEYWORDS
         )
@@ -124,7 +182,7 @@ class TestStreamedIndex:
         )
         reopened = SegmentedTextIndex(tmp_path / "idx")
         assert reopened.document_count == streamed.record_count
-        monolithic = parse_archive_sharded(fmt, text).index
+        monolithic = monolithic_index(fmt, text)
         assert reopened.search_any(MYSQL_STUDY_KEYWORDS) == monolithic.search_any(
             MYSQL_STUDY_KEYWORDS
         )
@@ -144,7 +202,7 @@ class TestStreamedIndex:
         assert len(names) == len(set(names))
         assert second.index.document_count == 2 * first.record_count
         # Both passes of the archive answer queries under their own bases.
-        monolithic = parse_archive_sharded(fmt, text).index
+        monolithic = monolithic_index(fmt, text)
         expected = monolithic.search_any(MYSQL_STUDY_KEYWORDS)
         shifted = {doc + first.record_count for doc in expected}
         assert second.index.search_any(MYSQL_STUDY_KEYWORDS) == expected | shifted
@@ -209,8 +267,6 @@ class TestMineArchiveFile:
         warm = mine_archive_file(Application.MYSQL, path, cache=cache)
         assert warm.mine_cache_hit
         assert warm.result.items == cold.result.items
-        from repro.pipeline import mine_archive_text
-
         text_run = mine_archive_text(Application.MYSQL, text, cache=cache)
         assert text_run.mine_cache_hit
 

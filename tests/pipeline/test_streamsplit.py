@@ -23,8 +23,16 @@ from repro.pipeline.streamsplit import (
     iter_cut_points,
     read_range,
     shard_byte_ranges,
-    split_file,
 )
+
+
+def split_by_ranges(fmt, source, max_shard_bytes):
+    """Concatenated per-range splits of ``source``."""
+    return [
+        chunk
+        for byte_range in format_byte_ranges(fmt, source, max_shard_bytes=max_shard_bytes)
+        for chunk in fmt.split(read_range(source, byte_range))
+    ]
 
 
 def render(application, corpus, scale=None):
@@ -158,10 +166,8 @@ class TestFormatEquivalence:
         path.write_text(text, encoding="utf-8")
 
         whole = fmt.split(text)
-        piecewise = []
-        for chunks in split_file(fmt, path, max_shard_bytes=max_shard_bytes):
-            piecewise.extend(chunks)
-        assert piecewise == whole
+        assert split_by_ranges(fmt, path, max_shard_bytes) == whole
+        assert split_by_ranges(fmt, text.encode("utf-8"), max_shard_bytes) == whole
 
     @pytest.mark.parametrize("application", list(Application))
     def test_ranges_cover_file_exactly(self, tmp_path, archives, application):
@@ -203,8 +209,6 @@ class TestFullArchiveEquivalence:
         path.write_text(text, encoding="utf-8")
 
         whole = fmt.split(text)
-        piecewise = []
-        for chunks in split_file(fmt, path, max_shard_bytes=64 << 10):
-            piecewise.extend(chunks)
+        piecewise = split_by_ranges(fmt, path, 64 << 10)
         assert len(piecewise) == len(whole)
         assert piecewise == whole

@@ -11,9 +11,13 @@ import pytest
 
 from repro.bugdb import debbugs, gnats, mbox
 from repro.bugdb.enums import Application
-from repro.pipeline import format_for, mine_archive_text, parse_archive_sharded
+from repro.pipeline import format_for, mine_archive_text, parse_archive_streamed
 
 WORKER_COUNTS = (1, 2, 7)
+
+#: Shard budget small enough that the larger sub-archives span several
+#: byte ranges, with a final range smaller than the rest.
+SHARD_BYTES = 4 << 10
 
 _RENDERERS = {
     Application.APACHE: gnats.render_archive,
@@ -50,7 +54,13 @@ class TestShardedParseEqualsSerial:
         text = _RENDERERS[application](records)
         serial = fmt.parse(text)
         assert serial == records
-        parsed = parse_archive_sharded(fmt, text, workers=workers)
+        parsed = parse_archive_streamed(
+            fmt,
+            text.encode("utf-8"),
+            max_shard_bytes=SHARD_BYTES,
+            workers=workers,
+            keep_records=True,
+        )
         assert parsed.records == serial
 
     @pytest.mark.parametrize("application", list(Application))

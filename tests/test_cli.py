@@ -400,6 +400,18 @@ class TestStreamingMineAndIndexCommands:
             main(["mine", "run", "--application", "mysql",
                   "--index-dir", "/tmp/nowhere"])
 
+    def test_mine_run_index_dir_needs_a_format_with_index_text(self, tmp_path):
+        from repro.bugdb.enums import Application
+        from repro.corpus import gnome_corpus, write_archive
+
+        path = tmp_path / "gnome.archive"
+        write_archive(path, Application.GNOME, gnome_corpus(), scale=100)
+        index_dir = tmp_path / "idx"
+        with pytest.raises(SystemExit, match="gnome defines no index_text"):
+            main(["mine", "run", "--application", "gnome",
+                  "--archive", str(path), "--index-dir", str(index_dir)])
+        assert not index_dir.exists()
+
     def test_mine_run_rejects_nonpositive_shard_budget(self, archive):
         with pytest.raises(SystemExit, match="positive"):
             main(["mine", "run", "--application", "mysql",
