@@ -11,8 +11,8 @@ environment, e.g. when recovery kills the application's processes).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import pickle
 from typing import Any
 
 from repro.apps.faults import FaultInjector
@@ -25,14 +25,24 @@ from repro.errors import ApplicationCrash
 class AppCheckpoint:
     """A checkpoint of an application's full in-memory state.
 
+    The state is kept as a pickled image: taking one is a single
+    encoding and each restore a single decoding into fresh objects, a
+    fraction of a ``copy.deepcopy`` either way, with the same sharing
+    between objects (an index's rows stay the table's rows).
+
     Attributes:
-        state: deep copy of the application state at checkpoint time.
+        image: the application state at checkpoint time, pickled.
         boot_hostname: the hostname the application started under (part
             of application memory -- e.g. cached display authentication).
     """
 
-    state: dict[str, Any]
+    image: bytes
     boot_hostname: str
+
+    @property
+    def state(self) -> dict[str, Any]:
+        """A fresh deep copy of the checkpointed state."""
+        return pickle.loads(self.image)
 
 
 class MiniApplication:
@@ -63,13 +73,13 @@ class MiniApplication:
     def snapshot(self) -> AppCheckpoint:
         """Capture all application memory."""
         return AppCheckpoint(
-            state=copy.deepcopy(self.state),
+            image=pickle.dumps(self.state, pickle.HIGHEST_PROTOCOL),
             boot_hostname=self.boot_hostname,
         )
 
     def restore(self, checkpoint: AppCheckpoint) -> None:
         """Restore application memory from a checkpoint."""
-        self.state = copy.deepcopy(checkpoint.state)
+        self.state = checkpoint.state
         self.boot_hostname = checkpoint.boot_hostname
         self.crashed = False
 

@@ -47,7 +47,7 @@ class Environment:
         self.spec = spec or EnvironmentSpec()
         self.clock = SimulationClock()
         self.events = EventQueue(self.clock)
-        self.scheduler = ThreadScheduler(derive_seed(seed, "interleaving:0"))
+        self._scheduler: ThreadScheduler | None = None
         self._retry_count = 0
 
         self.hostname = "server.example.com"
@@ -64,10 +64,26 @@ class Environment:
         """Change the machine's name while applications run (GNOME trigger)."""
         self.hostname = new_hostname
 
+    @property
+    def scheduler(self) -> ThreadScheduler:
+        """The thread scheduler, seeded for the current retry.
+
+        Built on first use: most replays never consult it, and seeding
+        it costs a SHA-256 derivation.  A scheduler built at retry ``n``
+        has the seed the eager one would have been reseeded to.
+        """
+        if self._scheduler is None:
+            self._scheduler = ThreadScheduler(self._interleaving_seed())
+        return self._scheduler
+
+    def _interleaving_seed(self) -> int:
+        return derive_seed(self.seed, f"interleaving:{self._retry_count}")
+
     def reseed_scheduler(self) -> None:
         """Draw a fresh thread interleaving (time has passed; interrupts differ)."""
         self._retry_count += 1
-        self.scheduler.reseed(derive_seed(self.seed, f"interleaving:{self._retry_count}"))
+        if self._scheduler is not None:
+            self._scheduler.reseed(self._interleaving_seed())
 
     def resource(self, name: str) -> BoundedResource:
         """Look up a countable resource by its name.

@@ -18,6 +18,10 @@ from repro.rng import derive_seed, make_rng
 class ThreadScheduler:
     """Deterministic interleaving source.
 
+    The shared stream is derived from the seed on its first draw: most
+    replays never consult the scheduler, and the stream is a pure
+    function of the seed, so deriving it late changes no draw.
+
     Args:
         seed: the interleaving seed; runs with equal seeds interleave
             identically.
@@ -25,7 +29,7 @@ class ThreadScheduler:
 
     def __init__(self, seed: int = 0):
         self._seed = seed
-        self._rng = make_rng(seed, "scheduler")
+        self._shared: random.Random | None = None
         self._labelled_rngs: dict[str, random.Random] = {}
         self.context_switches = 0
 
@@ -37,7 +41,7 @@ class ThreadScheduler:
     def reseed(self, seed: int) -> None:
         """Start a fresh interleaving (the environment changed)."""
         self._seed = seed
-        self._rng = make_rng(seed, "scheduler")
+        self._shared = None
         self._labelled_rngs = {}
         self.context_switches = 0
 
@@ -49,7 +53,9 @@ class ThreadScheduler:
         dropped on :meth:`reseed` so every fresh interleaving re-derives.
         """
         if label is None:
-            return self._rng
+            if self._shared is None:
+                self._shared = make_rng(self._seed, "scheduler")
+            return self._shared
         rng = self._labelled_rngs.get(label)
         if rng is None:
             rng = make_rng(derive_seed(self._seed, label), "scheduler")
@@ -65,7 +71,7 @@ class ThreadScheduler:
         if not runnable:
             raise ValueError("no runnable threads")
         self.context_switches += 1
-        return runnable[self._rng.randrange(len(runnable))]
+        return runnable[self._rng_for(None).randrange(len(runnable))]
 
     def race_fires(self, window: float, label: str | None = None) -> bool:
         """Whether a racy window of width ``window`` is hit this run.

@@ -27,6 +27,10 @@ from repro import fileio
 JOURNAL_MAGIC = "repro.harness.journal"
 JOURNAL_VERSION = 1
 
+#: One encoder for every line (``json.dumps(..., sort_keys=True)`` would
+#: build a new one per call).
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 @dataclasses.dataclass(frozen=True)
 class JournalContents:
@@ -92,7 +96,7 @@ class JournalWriter:
             )
 
     def _write_line(self, entry: dict[str, Any]) -> None:
-        fileio.append_line(self.path, json.dumps(entry, sort_keys=True))
+        fileio.append_line(self.path, _LINE_ENCODER.encode(entry))
 
     def append(
         self,

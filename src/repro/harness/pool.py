@@ -44,7 +44,7 @@ UnitRunner = Callable[[WorkUnit, Any], dict[str, Any]]
 
 # Campaign runtime inherited by forked workers.  Only the *parallel*
 # path uses it (workers read their forked copy inside _execute_shard);
-# the serial path passes the runtime explicitly and is fully re-entrant,
+# the serial path hands the runner to _run_unit and is fully re-entrant,
 # so concurrent serial campaigns (the serve daemon's request threads)
 # never touch this global.  _RUNTIME_LOCK serialises concurrent parallel
 # campaigns around the fork window.
@@ -81,61 +81,80 @@ class UnitExecution:
     resources: tuple[dict[str, Any], ...] = ()
 
 
+def _run_unit(
+    unit: WorkUnit,
+    runner: UnitRunner,
+    context: Any,
+    submitted_at: float,
+    trace_parent: dict[str, Any] | None,
+    worker_pid: int,
+) -> UnitExecution:
+    """Run one unit, under its ``unit:<kind>`` span when tracing is on.
+
+    Untraced, the runner is called bare: no capture buffer, span or
+    span attributes are built for spans nobody records.
+    """
+    started = time.monotonic()
+    spans: tuple[dict[str, Any], ...] = ()
+    if obs.active_tracer() is None:
+        result = runner(unit, context)
+    else:
+        with obs.capture(trace_parent) as captured:
+            attrs: dict[str, Any] = {"unit": unit.fault_id}
+            if unit.technique:
+                attrs["technique"] = unit.technique
+            with obs.span(f"unit:{unit.kind}", **attrs) as unit_span:
+                result = runner(unit, context)
+                unit_span.set(queue_ms=round((started - submitted_at) * 1000, 3))
+        spans = tuple(captured)
+    finished = time.monotonic()
+    return UnitExecution(
+        key=unit.key(),
+        result=result,
+        wall_seconds=finished - started,
+        queue_seconds=max(0.0, started - submitted_at),
+        worker_pid=worker_pid,
+        spans=spans,
+    )
+
+
 def _execute_shard(
     shard: Sequence[WorkUnit],
     submitted_at: float,
     trace_parent: dict[str, Any] | None = None,
-    runtime: tuple[UnitRunner, Any] | None = None,
 ) -> list[UnitExecution]:
-    """Run one shard of units in the current process (worker side).
+    """Run one shard of units in a forked worker.
 
     ``trace_parent`` is the dispatcher's span context: every unit span
     recorded here is parented under it, so worker-side spans link to the
-    dispatching wave across the process boundary.
-
-    ``runtime`` is passed explicitly on the serial path; forked workers
-    leave it None and read the module global inherited at fork time.
+    dispatching wave across the process boundary.  The runner and its
+    context come from the module global inherited at fork time.
 
     When resource sampling is configured (the worker inherited the
     dispatcher's :func:`repro.obs.resources.configure` at fork time), a
     shard-scoped sampler runs alongside and its records ship back on
-    each unit, attributed to the span open at sample time.  Only forked
-    workers start one -- on the serial path the dispatcher's own
-    campaign sampler already covers this process.  Sampler trouble
-    never fails the shard.
+    each unit, attributed to the span open at sample time.  (The serial
+    path starts none: the dispatcher's own campaign sampler already
+    covers that process.)  Sampler trouble never fails the shard.
     """
-    runner, context = runtime if runtime is not None else _RUNTIME  # type: ignore[misc]
+    runner, context = _RUNTIME  # type: ignore[misc]
     sampler = None
-    if runtime is None:
-        interval = obs_resources.configured_interval()
-        if interval is not None:
-            try:
-                sampler = obs_resources.ResourceSampler(interval).start()
-            except Exception:
-                sampler = None
+    interval = obs_resources.configured_interval()
+    if interval is not None:
+        try:
+            sampler = obs_resources.ResourceSampler(interval).start()
+        except Exception:
+            sampler = None
     executions = []
+    pid = os.getpid()
     try:
         for unit in shard:
-            started = time.monotonic()
-            with obs.capture(trace_parent) as captured:
-                attrs: dict[str, Any] = {"unit": unit.fault_id}
-                if unit.technique:
-                    attrs["technique"] = unit.technique
-                with obs.span(f"unit:{unit.kind}", **attrs) as unit_span:
-                    result = runner(unit, context)
-                    unit_span.set(queue_ms=round((started - submitted_at) * 1000, 3))
-            finished = time.monotonic()
-            executions.append(
-                UnitExecution(
-                    key=unit.key(),
-                    result=result,
-                    wall_seconds=finished - started,
-                    queue_seconds=max(0.0, started - submitted_at),
-                    worker_pid=os.getpid(),
-                    spans=tuple(captured),
-                    resources=tuple(sampler.take()) if sampler is not None else (),
+            execution = _run_unit(unit, runner, context, submitted_at, trace_parent, pid)
+            if sampler is not None:
+                execution = dataclasses.replace(
+                    execution, resources=tuple(sampler.take())
                 )
-            )
+            executions.append(execution)
     finally:
         if sampler is not None:
             try:
@@ -217,17 +236,14 @@ class WorkerPool:
         trace_parent: dict[str, Any] | None,
         on_dispatch: Callable[[Sequence[WorkUnit]], None] | None,
     ) -> None:
-        runtime = (runner, context)
         submitted = time.monotonic()
+        pid = os.getpid()
         # One unit at a time so completions reach the caller (and the
         # journal) before a later unit can fail the campaign.
         for unit in units:
             if on_dispatch is not None:
                 on_dispatch([unit])
-            for execution in _execute_shard(
-                [unit], submitted, trace_parent, runtime
-            ):
-                on_unit(execution)
+            on_unit(_run_unit(unit, runner, context, submitted, trace_parent, pid))
 
     def _execute_parallel(
         self,

@@ -26,6 +26,10 @@ from typing import Any, Mapping
 #: JSON-scalar types allowed as parameter values (keeps keys canonical).
 _SCALARS = (str, int, float, bool, type(None))
 
+#: The canonical encoding content keys hash, built once: ``json.dumps``
+#: with non-default options builds a new encoder on every call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _canonical_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
     """Sort and validate parameter overrides into a hashable tuple."""
@@ -101,7 +105,7 @@ class WorkUnit:
         # Computed once per unit (a campaign asks several times) and kept
         # outside the dataclass fields, so equality, hashing and
         # ``to_dict`` never see it.
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = _KEY_ENCODER.encode(self.to_dict())
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 
     def to_dict(self) -> dict[str, Any]:

@@ -33,7 +33,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import records as _records
 from repro.pipeline.cache import ParseMineCache, archive_digest, archive_file_digest
 from repro.pipeline.formats import ArchiveFormat, format_for
-from repro.pipeline.shardparse import parse_archive_streamed
+from repro.pipeline.shardparse import check_index_dir, parse_archive_streamed
 from repro.pipeline.streamsplit import DEFAULT_MAX_SHARD_BYTES
 
 
@@ -252,9 +252,11 @@ def mine_archive_file(
     always runs — otherwise a warm cache would silently skip the
     requested on-disk artifact.  An already-populated index is left
     as-is and cache hits short-circuit as usual.  ``index_dir`` for a
-    format without ``index_text`` raises the driver's ``ValueError``.
+    format without ``index_text`` raises the driver's ``ValueError``
+    before the index directory is opened (or created).
     """
     telemetry = telemetry if telemetry is not None else MetricsRegistry()
+    check_index_dir(format_for(application), index_dir)
     return _mine_cached(
         application,
         archive_file_digest(path),

@@ -149,6 +149,22 @@ def _stream_shard_runner(unit: WorkUnit, context: Any) -> dict[str, Any]:
     }
 
 
+def check_index_dir(fmt: ArchiveFormat, index_dir: str | os.PathLike | None) -> None:
+    """Reject ``index_dir`` for a format without ``index_text``.
+
+    Callers that open the index before parsing (which creates its
+    directory) check first, so a rejected request leaves nothing behind.
+
+    Raises:
+        ValueError: ``index_dir`` given for a format that cannot index.
+    """
+    if index_dir is not None and fmt.index_text is None:
+        raise ValueError(
+            f"format {fmt.application.value} defines no index_text; "
+            "cannot build a segmented index"
+        )
+
+
 def parse_archive_streamed(
     fmt: ArchiveFormat,
     source: ArchiveSource,
@@ -174,11 +190,7 @@ def parse_archive_streamed(
     retains the full record list on the result, in archive order.
     """
     telemetry = telemetry if telemetry is not None else MetricsRegistry()
-    if index_dir is not None and fmt.index_text is None:
-        raise ValueError(
-            f"format {fmt.application.value} defines no index_text; "
-            "cannot build a segmented index"
-        )
+    check_index_dir(fmt, index_dir)
     index = SegmentedTextIndex(index_dir) if index_dir is not None else None
     index_root = index.root if index is not None else None
 

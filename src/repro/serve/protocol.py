@@ -71,6 +71,10 @@ REQUEST_KINDS = (
 #: Client name used when a request does not identify itself.
 DEFAULT_CLIENT = "anonymous"
 
+#: The wire's canonical JSON encoder, built once (``json.dumps`` with
+#: non-default options builds one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class ProtocolError(ReproError):
     """Malformed or oversized protocol message."""
@@ -102,21 +106,47 @@ class Request:
         }
 
 
-@dataclasses.dataclass(frozen=True)
 class Response:
-    """One decoded response.
+    """One response.
 
     Attributes:
         id: the request's correlation id.
         status: one of the ``STATUS_*`` constants.
-        payload: result data (empty unless ``status == "ok"``).
+        payload: result data (empty unless ``status == "ok"``).  A
+            response built from ``payload_json`` decodes it when the
+            payload is first read.
         error: human-readable reason for non-``ok`` statuses.
+        payload_json: the payload's canonical JSON (:func:`encode_json`),
+            when the sender already encoded it; :func:`encode_line`
+            splices it into the line instead of encoding the payload.
     """
 
-    id: str
-    status: str
-    payload: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-    error: str = ""
+    __slots__ = ("id", "status", "error", "payload_json", "_payload")
+
+    def __init__(
+        self,
+        id: str,
+        status: str,
+        payload: Mapping[str, Any] | None = None,
+        error: str = "",
+        *,
+        payload_json: bytes | None = None,
+    ) -> None:
+        if payload is not None and payload_json is not None:
+            raise ValueError("give a response payload or its encoding, not both")
+        self.id = id
+        self.status = status
+        self.error = error
+        self.payload_json = payload_json
+        self._payload: Mapping[str, Any] | None = None  # decoded when first read
+        if payload_json is None:
+            self._payload = payload if payload is not None else {}
+
+    @property
+    def payload(self) -> Mapping[str, Any]:
+        if self._payload is None:
+            self._payload = json.loads(self.payload_json)
+        return self._payload
 
     @property
     def ok(self) -> bool:
@@ -125,6 +155,24 @@ class Response:
     @property
     def rejected(self) -> bool:
         return self.status in (STATUS_REJECTED_BUSY, STATUS_SHUTTING_DOWN)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Response):
+            return NotImplemented
+        return (self.id, self.status, self.error, self.payload) == (
+            other.id,
+            other.status,
+            other.error,
+            other.payload,
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Response(id={self.id!r}, status={self.status!r}, "
+            f"payload={self.payload!r}, error={self.error!r})"
+        )
 
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -139,16 +187,43 @@ class Response:
         return data
 
 
+def encode_json(value: Any) -> bytes:
+    """``value``'s canonical JSON: sorted keys, compact separators, ASCII.
+
+    The wire's one encoding.  :func:`encode_line` applies it to whole
+    messages; the service applies it once to each reply payload, whose
+    bytes a response then carries as ``payload_json``.
+
+    Raises:
+        TypeError, ValueError: ``value`` is not JSON-serialisable.
+    """
+    return _ENCODER.encode(value).encode("ascii")
+
+
 def encode_line(message: Request | Response) -> bytes:
     """One message as a UTF-8 JSON line (terminator included).
+
+    A response carrying ``payload_json`` is not re-encoded: keys sort,
+    so its payload sits verbatim between ``"id"`` (and ``"error"``) and
+    ``"status"``, and the line is the encoded envelope with the payload
+    spliced in there.  No JSON string can contain ``,"status":`` (its
+    quotes are escaped), so the splice point is unambiguous.  An empty
+    payload is left out, as :meth:`Response.to_dict` leaves it out.
 
     Raises:
         ProtocolError: the encoded message exceeds :data:`MAX_LINE_BYTES`
             (a payload that large belongs in a file, not on the wire).
     """
-    line = json.dumps(
-        message.to_dict(), separators=(",", ":"), sort_keys=True
-    ).encode("utf-8") + b"\n"
+    if isinstance(message, Response) and message.payload_json not in (None, b"{}"):
+        envelope = encode_json(
+            Response(message.id, message.status, error=message.error).to_dict()
+        )
+        cut = envelope.index(b',"status":')
+        line = b"".join(
+            (envelope[:cut], b',"payload":', message.payload_json, envelope[cut:], b"\n")
+        )
+    else:
+        line = encode_json(message.to_dict()) + b"\n"
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(
             f"message of {len(line)} bytes exceeds the {MAX_LINE_BYTES}-byte line limit"
@@ -160,9 +235,8 @@ def ok_line_bytes(response_id: str, payload_bytes: int) -> int:
     """Encoded size of an ``ok`` response line, from its payload's size.
 
     ``payload_bytes`` is the length of the payload's canonical JSON
-    (sorted keys, compact separators).  :func:`encode_line` sorts keys,
-    so that JSON sits verbatim between ``"id"`` and ``"status"``: a
-    server can refuse an oversize reply without encoding it twice.
+    (:func:`encode_json`), which :func:`encode_line` splices into the
+    envelope verbatim: a server can size a reply without building it.
     """
     envelope = encode_line(Response(id=response_id, status=STATUS_OK))
     return len(envelope) + len(',"payload":') + payload_bytes

@@ -14,13 +14,16 @@ result hot:
 * an in-memory **response memo**: node payloads are content-addressed,
   and the study is immutable while serving, so an identical request is
   a dictionary hit -- this is what turns a warm daemon into thousands
-  of requests per second.  Each entry keeps the reply's encoded size
-  beside it, so a hit is never re-encoded.
+  of requests per second.  Each entry keeps the reply payload's
+  canonical JSON, encoded once when the handler returned it; the
+  transport splices those bytes into every reply line, so a hit is
+  never re-encoded.
 
 A reply must fit the wire's line limit.  A node whose memo entry
 records a payload larger than the limit is refused before its payload
 is loaded, and the response memo keeps refusals, never payloads that
-cannot be sent.
+cannot be sent.  A payload that cannot be encoded at all is answered
+with an ``error`` reply, like any other handler failure.
 
 Requests route through :class:`~repro.serve.admission.
 AdmissionController` first (backpressure and quotas are the service's
@@ -67,6 +70,7 @@ from repro.serve.protocol import (
     ProtocolError,
     Request,
     Response,
+    encode_json,
     ok_line_bytes,
 )
 
@@ -76,23 +80,13 @@ from repro.serve.protocol import (
 MEMOIZED_KINDS = frozenset({KIND_STUDY, KIND_MINE, KIND_REPLAY})
 
 
-def _payload_size(payload: Mapping[str, Any]) -> int:
-    """Canonical-JSON byte size of a response payload (0 on failure)."""
-    try:
-        return len(
-            json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
-        )
-    except (TypeError, ValueError):
-        return 0
-
-
 class ReplyTooLarge(ProtocolError):
     """A reply whose payload alone exceeds the line limit.
 
     Node handlers raise it from the recorded payload size, before the
-    payload is loaded; the router raises it for any other reply it
-    sizes.  The response memo keeps the refusal instead of the payload,
-    so a repeat is refused without another memo walk.
+    payload is loaded; the router raises it for any other reply whose
+    encoding is too long.  The response memo keeps the refusal instead
+    of the payload, so a repeat is refused without another memo walk.
     """
 
 
@@ -255,9 +249,9 @@ class StudyService:
         self._study: Any = None
         self._cache: Any = None
         self._warm_lock = threading.Lock()
-        #: request key -> (reply payload, its encoded size), or the
+        #: request key -> the reply payload's canonical JSON, or the
         #: message of a :class:`ReplyTooLarge` refusal.
-        self._memo: dict[str, tuple[dict[str, Any], int] | str] = {}
+        self._memo: dict[str, bytes | str] = {}
         self._memo_lock = threading.Lock()
         self._monitor_lock = threading.Lock()
         self._counters = {
@@ -333,9 +327,10 @@ class StudyService:
 
         Never raises for request-shaped problems: handler errors come
         back as ``status="error"`` responses, admission refusals as
-        ``rejected-busy`` / ``shutting-down``.  A payload too large for
-        the wire's line limit is answered here as an ``error``, so the
-        transport can always encode the reply (node handlers refuse a
+        ``rejected-busy`` / ``shutting-down``.  The reply payload is
+        encoded here, once; one that cannot be encoded, or is too large
+        for the wire's line limit, is answered as an ``error``, so the
+        transport can always send the reply (node handlers refuse a
         recorded oversize payload earlier, before loading it).
 
         Every path -- success, error, refusal -- records exactly one
@@ -367,9 +362,9 @@ class StudyService:
             with obs.span(
                 f"serve:{request.kind}", client=request.client, id=request.id
             ) as span:
-                payload, size, memoized = self._dispatch(request)
+                payload_json, memoized = self._dispatch(request)
                 span.set(memoized=memoized)
-            line_bytes = ok_line_bytes(request.id, size)
+            line_bytes = ok_line_bytes(request.id, len(payload_json))
             if line_bytes > MAX_LINE_BYTES:
                 raise ProtocolError(
                     f"reply of {line_bytes} bytes is too large for the "
@@ -377,8 +372,8 @@ class StudyService:
                 )
             self._count("ok")
             status = STATUS_OK
-            payload_bytes = size
-            return Response(id=request.id, status=STATUS_OK, payload=payload)
+            payload_bytes = len(payload_json)
+            return Response(id=request.id, status=STATUS_OK, payload_json=payload_json)
         except Exception as exc:  # noqa: BLE001 -- a request must never kill the daemon
             self._count("errors")
             status = STATUS_ERROR
@@ -403,8 +398,8 @@ class StudyService:
         """Stop admitting; in-flight requests run to completion."""
         self.admission.begin_drain()
 
-    def _dispatch(self, request: Request) -> tuple[dict[str, Any], int, bool]:
-        """``(payload, encoded size, memo hit)`` for one admitted request."""
+    def _dispatch(self, request: Request) -> tuple[bytes, bool]:
+        """``(payload's canonical JSON, memo hit)`` for one admitted request."""
         handler = self._handlers.get(request.kind)
         if handler is None:
             raise ValueError(f"no handler for request kind {request.kind!r}")
@@ -417,13 +412,12 @@ class StudyService:
                 self._count("memo_hits")
                 if isinstance(hit, str):
                     raise ReplyTooLarge(hit)
-                return (*hit, True)
+                return hit, True
         try:
-            payload = handler(request)
-            size = _payload_size(payload)
-            if size > MAX_LINE_BYTES:
+            payload_json = encode_json(handler(request))
+            if len(payload_json) > MAX_LINE_BYTES:
                 raise ReplyTooLarge(
-                    f"reply of {size} bytes is too large for the "
+                    f"reply of {len(payload_json)} bytes is too large for the "
                     f"{MAX_LINE_BYTES}-byte line limit"
                 )
         except ReplyTooLarge as refusal:
@@ -437,8 +431,8 @@ class StudyService:
             with self._memo_lock:
                 # Concurrent first requests may both compute; payloads
                 # are deterministic, so last-write-wins is safe.
-                self._memo[key] = (payload, size)
-        return payload, size, False
+                self._memo[key] = payload_json
+        return payload_json, False
 
     # -- handlers -------------------------------------------------------- #
 

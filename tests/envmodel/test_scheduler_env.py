@@ -11,6 +11,7 @@ from repro.classify.recovery_model import (
 from repro.envmodel.environment import Environment, EnvironmentSpec
 from repro.envmodel.perturb import ResourceFootprint, apply_recovery_perturbation
 from repro.envmodel.scheduler import ThreadScheduler
+from repro.rng import make_rng
 
 
 class TestThreadScheduler:
@@ -54,6 +55,54 @@ class TestThreadScheduler:
         second = [scheduler.race_fires(0.5) for _ in range(5)]
         assert first == second
         assert scheduler.context_switches == 5
+
+    def test_shared_stream_derived_on_first_draw(self):
+        eager = make_rng(7, "scheduler")
+        expected = [eager.random() < 0.5 for _ in range(5)]
+        scheduler = ThreadScheduler(seed=3)
+        scheduler.reseed(7)
+        assert [scheduler.race_fires(0.5) for _ in range(5)] == expected
+
+
+def _scheduler_streams(monkeypatch):
+    """Spy on scheduler stream construction; returns the labels made."""
+    from repro.envmodel import scheduler as scheduler_module
+
+    made = []
+    original = scheduler_module.make_rng
+
+    def spy(seed, label=""):
+        made.append(label)
+        return original(seed, label)
+
+    monkeypatch.setattr(scheduler_module, "make_rng", spy)
+    return made
+
+
+class TestLazySchedulerStream:
+    """A replay pays for a scheduler stream only if its defect draws."""
+
+    @staticmethod
+    def replay(study, timing):
+        from repro.apps.faults import _TIMING_TRIGGERS
+        from repro.recovery import CheckpointRollback, replay_fault
+
+        fault = next(
+            f for f in study.all_faults() if (f.trigger in _TIMING_TRIGGERS) == timing
+        )
+        return replay_fault(fault, CheckpointRollback())
+
+    def test_replay_that_never_draws_makes_no_stream(self, study, monkeypatch):
+        made = _scheduler_streams(monkeypatch)
+        outcome = self.replay(study, timing=False)
+        assert outcome.triggered and outcome.attempts_used > 0
+        assert made == []
+
+    def test_timing_replay_still_draws(self, study, monkeypatch):
+        made = _scheduler_streams(monkeypatch)
+        outcome = self.replay(study, timing=True)
+        assert outcome.triggered
+        assert made and set(made) == {"scheduler"}
 
 
 class TestEnvironment:

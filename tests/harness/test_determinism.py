@@ -82,3 +82,57 @@ class TestSweepDeterminism:
             replications=3,
         )
         assert points[0].total == len(timing_faults(study)) * 3
+
+
+class TestPinnedVerdicts:
+    """Every verdict, pinned: a change that makes replay cheaper (fewer
+    seed derivations, lazier streams) must not move a single one."""
+
+    #: SHA-256 of the canonical JSON of :meth:`verdict_rows`.
+    DIGEST = "ed6e50638b798fde8ffa8b249ff7a889bff6267156105dac9ed772c2cce985d9"
+
+    @staticmethod
+    def verdict_rows(study):
+        from repro.harness.campaigns import run_replay_campaign
+        from repro.recovery.nodes import TECHNIQUES
+
+        rows = []
+        for seed in (20000625, 4242):
+            for name, factory in TECHNIQUES.items():
+                report = run_replay_campaign(study.all_faults(), factory, seed=seed)
+                rows.append(
+                    [
+                        seed,
+                        name,
+                        [
+                            [o.fault_id, o.triggered, o.survived, o.attempts_used]
+                            for o in report.outcomes
+                        ],
+                    ]
+                )
+        budget = run_sweep_retry_budget(
+            study,
+            lambda b: CheckpointRollback(max_attempts=b),
+            budgets=(1, 2, 3, 4, 6, 8),
+            race_window=0.25,
+            replications=5,
+        )
+        window = run_sweep_race_window(
+            study,
+            CheckpointRollback,
+            windows=(0.05, 0.1, 0.25, 0.5, 0.75, 0.95),
+            replications=5,
+        )
+        for points in (budget, window):
+            rows.append([[p.parameter, p.survived, p.total] for p in points])
+        return rows
+
+    def test_every_verdict_and_both_sweeps_match_the_pin(self, study):
+        import hashlib
+        import json
+
+        rows = self.verdict_rows(study)
+        assert rows[-2][0] == [1.0, 20, 30]  # retry budget 1 at race window 0.25
+        assert rows[-1][-1] == [0.95, 4, 30]  # race window 0.95
+        encoded = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == self.DIGEST

@@ -14,6 +14,7 @@ from repro.serve.protocol import (
     Response,
     decode_request,
     decode_response,
+    encode_json,
     encode_line,
     ok_line_bytes,
 )
@@ -102,3 +103,55 @@ class TestResponseCodec:
         canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
         line = encode_line(Response(id="r-7", status=STATUS_OK, payload=payload))
         assert ok_line_bytes("r-7", len(canonical.encode("utf-8"))) == len(line)
+
+
+def canonical_line(response):
+    """The reference encoding: the whole message dict, dumped once."""
+    text = json.dumps(response.to_dict(), sort_keys=True, separators=(",", ":"))
+    return text.encode("utf-8") + b"\n"
+
+
+class TestPreEncodedPayload:
+    """An ``ok`` reply built from its payload's canonical JSON is spliced,
+    never re-encoded, and reads byte for byte like the dumped dict."""
+
+    PAYLOADS = [
+        {"text": "caf\u00e9 \u2603 \U0001f600", "node": "T1"},
+        {"rows": [[1, [2, [3, []]]], ["a", None, True]], "n": 0},
+        {"ratio": 0.1, "big": 1e300, "neg": -2.5e-07, "int": 10**20},
+        {"payload": {"status": "x", "id": "y"}, "z": {"a": {}}},
+        {},
+    ]
+    IDS = ["", "r-1", 'quote"d,"status":"ok', "caf\u00e9-\u2603"]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    @pytest.mark.parametrize("response_id", IDS)
+    def test_spliced_line_equals_dumped_dict(self, payload, response_id):
+        response = Response(
+            id=response_id, status=STATUS_OK, payload_json=encode_json(payload)
+        )
+        line = encode_line(response)
+        assert line == canonical_line(response)
+        assert line == canonical_line(
+            Response(id=response_id, status=STATUS_OK, payload=payload)
+        )
+        if payload:
+            assert ok_line_bytes(response_id, len(encode_json(payload))) == len(line)
+        else:
+            assert "payload" not in json.loads(line)
+
+    def test_payload_decoded_when_first_read(self):
+        payload = {"a": [1, 2.5], "b": "caf\u00e9"}
+        response = Response(id="x", status=STATUS_OK, payload_json=encode_json(payload))
+        assert response.payload == payload
+        assert response == Response(id="x", status=STATUS_OK, payload=payload)
+        assert decode_response(encode_line(response)) == response
+
+    def test_payload_and_encoding_are_exclusive(self):
+        with pytest.raises(ValueError):
+            Response(id="x", status=STATUS_OK, payload={"n": 1}, payload_json=b'{"n":1}')
+
+    def test_oversize_spliced_line_rejected(self):
+        payload_json = encode_json({"blob": "x" * MAX_LINE_BYTES})
+        with pytest.raises(ProtocolError):
+            encode_line(Response(id="x", status=STATUS_OK, payload_json=payload_json))

@@ -150,6 +150,25 @@ class TestWireRequests:
         }
         assert counts == {"ok": None, "error": 1}
 
+    def test_unencodable_reply_answers_error_and_counts_it(self, server):
+        server.service.register_handler("status", lambda request: {"bad": {1, 2}})
+        with ServeClient(server.socket_path) as client:
+            response = client.request("status", id="set-1")
+            assert response.status == STATUS_ERROR
+            assert response.id == "set-1"
+            assert "TypeError" in response.error
+            assert client.request("ping").ok  # same connection still serves
+            text = client.request("metrics").payload["text"]
+        samples = parse_exposition(text)
+        counts = {
+            status: exposition_value(
+                samples, "repro_requests_total", {"kind": "status", "status": status}
+            )
+            for status in ("ok", "error")
+        }
+        assert counts == {"ok": None, "error": 1}
+        assert server.service._counters["errors"] == 1
+
     def test_quota_rejection_over_the_wire(self, sock_dir):
         service = StudyService(
             admission=AdmissionController(

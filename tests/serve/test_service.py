@@ -175,14 +175,14 @@ class TestOversizeReplies:
         assert all(isinstance(entry, str) for entry in warm._memo.values())
 
     def test_memo_hit_is_not_sized_again(self, tmp_path, monkeypatch):
-        sized = []
-        original = service_module._payload_size
+        encoded = []
+        original = service_module.encode_json
 
         def spy(payload):
-            sized.append(payload)
+            encoded.append(payload)
             return original(payload)
 
-        monkeypatch.setattr(service_module, "_payload_size", spy)
+        monkeypatch.setattr(service_module, "encode_json", spy)
         service = StudyService(cache_dir=tmp_path, registry=blob_registry())
         replies = [
             service.handle(Request(kind="study", params={"node": "small"}))
@@ -190,12 +190,21 @@ class TestOversizeReplies:
         ]
         assert all(reply.ok for reply in replies)
         assert service._counters["memo_hits"] == 2
-        assert len(sized) == 1
+        assert len(encoded) == 1
+        size = len(original(replies[0].payload))
         text = service.handle(Request(kind="metrics")).payload["text"]
-        assert (
-            f'repro_response_bytes_total{{kind="study"}} {3 * original(replies[0].payload)}'
-            in text
-        )
+        assert f'repro_response_bytes_total{{kind="study"}} {3 * size}' in text
+
+    def test_memo_keeps_encoded_replies_or_refusals(
+        self, tmp_path, small_limit
+    ):
+        service = StudyService(cache_dir=tmp_path, registry=blob_registry())
+        for node in ("big", "small", "small"):
+            service.handle(Request(kind="study", params={"node": node}))
+        assert sorted(type(entry).__name__ for entry in service._memo.values()) == [
+            "bytes",
+            "str",
+        ]
 
 
 class TestGridFamilies:

@@ -411,6 +411,14 @@ class TestStreamingMineAndIndexCommands:
             main(["mine", "run", "--application", "gnome",
                   "--archive", str(path), "--index-dir", str(index_dir)])
         assert not index_dir.exists()
+        # With a cache the rejection still comes before anything opens
+        # (and so creates) the index directory.
+        index_dir = tmp_path / "idx2"
+        with pytest.raises(SystemExit, match="gnome defines no index_text"):
+            main(["mine", "run", "--application", "gnome",
+                  "--archive", str(path), "--index-dir", str(index_dir),
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert not index_dir.exists()
 
     def test_mine_run_rejects_nonpositive_shard_budget(self, archive):
         with pytest.raises(SystemExit, match="positive"):
