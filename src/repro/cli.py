@@ -13,10 +13,8 @@ Usage (after ``pip install -e .``, or via ``python -m repro``)::
     repro scenario run --workers 4   # the multi-fault pair sweep, memoized
     repro scenario matrix         # the pair-interaction matrix
     repro scenario status         # memo state of the scenario closure
-    repro trace summary run.trace --flame   # attribution + ASCII icicle
-    repro trace export run.trace --out run.json   # chrome://tracing JSON
-    repro trace export run.trace --format folded --out run.folded
-    repro trace export run.trace --format speedscope --out run.speedscope.json
+    repro trace summary run.trace   # phases, coverage, self time, slowest spans
+    repro trace export run.trace --out run.json   # Perfetto / speedscope JSON
     repro perf record --db perf.jsonl --trace run.trace   # append to history
     repro perf report --db perf.jsonl   # longitudinal per-node view
     repro perf check --db perf.jsonl    # gate vs rolling baseline (exit 1)
@@ -539,9 +537,6 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
     nodes = _study_nodes(args)
     registry = default_registry()
     monitor = obs.RunMonitor(args.live) if args.live else None
-    priorities = None
-    if args.perfdb and args.order == "longest-first":
-        priorities = obs.PerfDB(args.perfdb).node_medians() or None
     if getattr(args, "sample_resources", None) is not None:
         if args.sample_resources <= 0:
             raise SystemExit("--sample-resources interval must be positive")
@@ -563,7 +558,6 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
                     len(closure), quiet=args.quiet, label="study"
                 ),
                 monitor=monitor,
-                priorities=priorities,
             )
     except GraphError as exc:
         raise SystemExit(str(exc)) from None
@@ -771,6 +765,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
     from repro import obs
+    from repro.fileio import atomic_write
 
     records = _read_trace(args.path)
     if not records:
@@ -817,38 +812,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 title=f"Slowest {len(summary.slowest)} spans",
             )
         )
-        if args.flame:
-            print()
-            print(
-                obs.render_icicle(
-                    records, width=args.flame_width, max_depth=args.flame_depth
-                )
-            )
         return 0
 
-    # export
-    if args.format == "folded":
-        text = obs.format_folded(records)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(text.splitlines())} folded stacks to {args.out} "
-            "(feed to flamegraph.pl or speedscope)"
-        )
-        return 0
-    if args.format == "speedscope":
-        payload = obs.speedscope_document(records, name=args.path)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, separators=(",", ":")))
-        print(
-            f"wrote {len(payload['profiles'])} profile(s), "
-            f"{len(payload['shared']['frames'])} frames to {args.out} "
-            "(load at https://www.speedscope.app)"
-        )
-        return 0
     payload = obs.chrome_trace(records)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, separators=(",", ":")))
+    atomic_write(args.out, json.dumps(payload, separators=(",", ":")))
     print(
         f"wrote {len(payload['traceEvents'])} events to {args.out} "
         "(load in chrome://tracing or https://ui.perfetto.dev)"
@@ -1539,11 +1506,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append this run's per-node wall times to a perf history JSONL",
     )
     study_run.add_argument(
-        "--order", choices=("longest-first", "fifo"), default="longest-first",
-        help="within-wave dispatch order; longest-first needs --perfdb history "
-        "(outputs are identical either way)",
-    )
-    study_run.add_argument(
         "--expand-grids", action="store_true",
         help="list every grid point in the summary instead of one row per family",
     )
@@ -1674,11 +1636,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append this run's per-node wall times to a perf history JSONL",
     )
     scenario_run.add_argument(
-        "--order", choices=("longest-first", "fifo"), default="longest-first",
-        help="within-wave dispatch order; longest-first needs --perfdb history "
-        "(outputs are identical either way)",
-    )
-    scenario_run.add_argument(
         "--expand-grids", action="store_true",
         help="list every pair point in the summary instead of one family row",
     )
@@ -1735,32 +1692,16 @@ def build_parser() -> argparse.ArgumentParser:
     trace_summary.add_argument(
         "--top", type=int, default=10, help="how many slowest spans to list"
     )
-    trace_summary.add_argument(
-        "--flame", action="store_true",
-        help="render an ASCII icicle (caller-over-callee flame view)",
-    )
-    trace_summary.add_argument(
-        "--flame-width", type=int, default=80, metavar="COLS",
-        help="icicle width in columns (default 80)",
-    )
-    trace_summary.add_argument(
-        "--flame-depth", type=int, default=6, metavar="N",
-        help="deepest stack level to render (default 6)",
-    )
     trace_summary.set_defaults(func=_cmd_trace)
 
     trace_export = trace_sub.add_parser(
-        "export", help="convert a trace to chrome / folded-stack / speedscope form"
+        "export", help="convert a trace to Chrome trace_event JSON "
+        "(opens in Perfetto and speedscope)"
     )
     trace_export.add_argument("path", help="trace JSONL file")
     trace_export.add_argument(
         "--out", required=True, metavar="PATH",
         help="output file",
-    )
-    trace_export.add_argument(
-        "--format", choices=("chrome", "folded", "speedscope"), default="chrome",
-        help="chrome trace_event JSON (default), Brendan Gregg folded "
-        "stacks, or a speedscope profile document",
     )
     trace_export.set_defaults(func=_cmd_trace)
 

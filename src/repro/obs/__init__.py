@@ -17,13 +17,11 @@ report into:
 * :mod:`~repro.obs.sinks` -- pluggable span sinks: in-memory for tests,
   append-only JSONL for ``repro study run --trace`` (a killed run tears
   at most its last line; not fsynced, so power loss is not covered);
-* :mod:`~repro.obs.chrome` -- Chrome ``trace_event`` export, loadable
-  in ``chrome://tracing`` / Perfetto;
+* :mod:`~repro.obs.chrome` -- Chrome ``trace_event`` export (``repro
+  trace export``), the one trace output format; it opens in Perfetto
+  and in speedscope, which draw the flame views;
 * :mod:`~repro.obs.summary` -- wall-time attribution for ``repro trace
   summary``;
-* :mod:`~repro.obs.flame` -- folded stacks, ASCII icicles, and
-  speedscope export (``repro trace summary --flame`` / ``repro trace
-  export --format folded|speedscope``);
 * :mod:`~repro.obs.perfdb` -- the append-only JSONL perf history with
   rolling-baseline regression gating (``repro perf record|report|check``);
 * :mod:`~repro.obs.livestatus` -- atomic heartbeat snapshots and the
@@ -57,14 +55,6 @@ from repro.obs.hist import (
     exposition_value,
     histogram_lines,
     parse_exposition,
-)
-from repro.obs.flame import (
-    ORPHAN_FRAME,
-    fold_stacks,
-    format_folded,
-    parse_folded,
-    render_icicle,
-    speedscope_document,
 )
 from repro.obs.livestatus import (
     RunMonitor,
@@ -141,7 +131,6 @@ __all__ = [
     "NodePerf",
     "NullSink",
     "Objective",
-    "ORPHAN_FRAME",
     "ORPHAN_PHASE",
     "PerfDB",
     "PerfRecord",
@@ -170,8 +159,6 @@ __all__ = [
     "exposition_buckets",
     "exposition_value",
     "family_medians",
-    "fold_stacks",
-    "format_folded",
     "grid_family",
     "healthz_view",
     "histogram_lines",
@@ -181,18 +168,15 @@ __all__ = [
     "load_objectives",
     "node_medians",
     "parse_exposition",
-    "parse_folded",
     "proc_available",
     "read_snapshot",
     "read_trace",
     "record_from_trace",
-    "render_icicle",
     "render_watch_line",
     "resource_records",
     "rss_series_by_span",
     "sampling_enabled",
     "span",
-    "speedscope_document",
     "summarize_trace",
     "throughput_counters",
     "throughput_record",

@@ -2,8 +2,8 @@
 
 The ``scenario.*`` nodes put the multi-fault workload on the same
 machinery every other experiment uses -- memoized wave scheduling,
-perfdb longest-first dispatch, obs tracing, and the serve daemon all
-absorb it unchanged:
+perfdb recording, obs tracing, and the serve daemon all absorb it
+unchanged:
 
 * ``scenario.baseline`` (artifact) -- the 139 single-fault replay
   verdicts under the scenario technique, shared by every pair point;

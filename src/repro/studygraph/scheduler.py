@@ -223,22 +223,15 @@ def order_longest_first(
 ) -> list[str]:
     """Order a wave's ready nodes by expected cost, longest first.
 
-    ``priorities`` is the perfdb ETA model (node name -> median wall
-    seconds, :meth:`repro.obs.PerfDB.node_medians`).  Nodes with history
-    run longest-first (name breaks ties deterministically); grid points
-    the history has never seen fall back to their family's median (the
-    median of the family's per-point medians); nodes with no estimate at
-    all keep their FIFO position after the estimated ones.  A pure
+    ``priorities`` maps node name -> expected wall seconds.  Nodes with
+    a priority run longest-first (name breaks ties deterministically);
+    nodes without one keep their FIFO position after them.  A pure
     dispatch-order permutation: payloads and digests are unaffected.
     """
-    families = obs.family_medians(priorities)
     known: list[tuple[float, str]] = []
     unseen: list[str] = []
     for name in names:
         estimate = priorities.get(name)
-        if estimate is None:
-            family = obs.grid_family(name)
-            estimate = families.get(family) if family is not None else None
         if estimate is None:
             unseen.append(name)
         else:
@@ -274,8 +267,8 @@ def run_study(
             and the unit heartbeat from the campaign engine, and writes
             the snapshot ``repro study watch`` renders.  Monitoring
             never touches node payloads or memo keys.
-        priorities: perfdb medians (node -> wall seconds) used to
-            dispatch each wave's cache misses longest-first
+        priorities: expected wall seconds per node, used to dispatch
+            each wave's cache misses longest-first
             (:func:`order_longest_first`); None keeps FIFO dispatch.
             Ordering is scheduling-only -- results are bit-identical
             either way.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.soak import soak_desktop, soak_http_server, soak_sql_database
+from tests.apps.soak import soak_desktop, soak_http_server, soak_sql_database
 
 
 class TestSoakHttpServer:

@@ -66,6 +66,48 @@ def test_export_carries_hierarchy_in_args():
     assert unit_event["args"]["parent_id"] == by_name["unit:echo"]["parent_id"]
 
 
+def _span(name, span_id, start, end, pid, parent_id=None):
+    return {
+        "name": name, "span_id": span_id, "parent_id": parent_id,
+        "trace_id": "t", "start": start, "end": end, "pid": pid,
+    }
+
+
+def test_one_process_name_per_pid():
+    records = [
+        _span("unit:a", "a", 2.0, 3.0, pid=30, parent_id="w"),
+        _span("study.run", "r", 1.0, 9.0, pid=20),
+        _span("wave", "w", 1.5, 8.0, pid=20, parent_id="r"),
+        _span("unit:b", "b", 2.5, 4.0, pid=10, parent_id="w"),
+        _span("unit:c", "c", 5.0, 6.0, pid=30, parent_id="w"),
+    ]
+    events = chrome_trace(records)["traceEvents"]
+    labels = {
+        e["pid"]: e["args"]["name"] for e in events if e["name"] == "process_name"
+    }
+    assert len([e for e in events if e["ph"] == "M"]) == 3
+    # The earliest span's process is the dispatcher, whatever its pid.
+    assert labels == {
+        20: "repro (main)",
+        10: "repro worker 10",
+        30: "repro worker 30",
+    }
+
+
+def test_orphaned_span_exports_as_one_event():
+    records = [
+        _span("study.run", "r", 0.0, 10.0, pid=1),
+        _span("unit:lost", "u", 1.0, 5.0, pid=2, parent_id="gone"),
+    ]
+    [orphan] = [
+        e for e in chrome_trace(records)["traceEvents"]
+        if e["ph"] == "X" and e["name"] == "unit:lost"
+    ]
+    assert orphan["args"]["parent_id"] == "gone"
+    assert orphan["ts"] == 1_000_000.0
+    assert orphan["dur"] == 4_000_000.0
+
+
 def test_export_of_empty_trace():
     assert chrome_trace([]) == {"traceEvents": [], "displayTimeUnit": "ms"}
 

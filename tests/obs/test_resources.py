@@ -55,7 +55,6 @@ class TestRecordShape:
         sample = ResourceSample(pid=1, t=0.5, rss_bytes=1, cpu_seconds=0.0).to_record()
         summary = obs.summarize_trace([span, sample])
         assert summary.spans == 1
-        assert obs.fold_stacks([span, sample]) == [(("phase:a",), 1.0)]
         document = obs.chrome_trace([span, sample])
         events = document["traceEvents"]
         assert len([e for e in events if e.get("ph") == "X"]) == 1

@@ -1,15 +1,13 @@
-"""Trace edge cases: empty files, single spans, orphans, determinism.
+"""Trace edge cases: empty files, single spans, orphans.
 
 The JSONL sink writes one line per span and the root last, so a killed
-run's trace can arrive truncated -- so the summary
-and flame paths must degrade deterministically instead of silently
-dropping whole subtrees.
+run's trace can arrive truncated -- so the summary must degrade
+deterministically instead of silently dropping whole subtrees.
 """
 
 import pytest
 
 from repro import obs
-from repro.obs.flame import ORPHAN_FRAME, fold_stacks, format_folded
 from repro.obs.summary import ORPHAN_PHASE, summarize_trace
 
 
@@ -51,10 +49,6 @@ class TestSingleSpan:
         assert summary.coverage == 0.0
         assert summary.orphaned == 0
 
-    def test_folds_to_one_stack(self):
-        folded = fold_stacks([span("only", "o", 1.0, 3.0)])
-        assert folded == [(("only",), pytest.approx(2.0))]
-
 
 class TestOrphanedSpans:
     def trace(self):
@@ -88,11 +82,6 @@ class TestOrphanedSpans:
         ]
         assert summarize_trace(records).coverage == 1.0
 
-    def test_orphan_subtree_keeps_internal_structure_when_folded(self):
-        folded = dict(fold_stacks(self.trace()))
-        assert (ORPHAN_FRAME, "unit:studygraph") in folded
-        assert (ORPHAN_FRAME, "unit:studygraph", "node:T1") in folded
-
     def test_cross_process_orphans(self):
         records = [
             span("lost-a", "a", 0.0, 1.0, parent_id="gone", pid=1),
@@ -101,26 +90,3 @@ class TestOrphanedSpans:
         summary = summarize_trace(records)
         assert summary.orphaned == 2
         assert summary.processes == 2
-
-
-class TestFoldedDeterminism:
-    def trace(self, pid_offset=0):
-        return [
-            span("root", "r", 0.0, 10.0, pid=100 + pid_offset),
-            span("wave", "w1", 0.0, 4.0, parent_id="r", pid=100 + pid_offset),
-            span("wave", "w2", 5.0, 9.0, parent_id="r", pid=100 + pid_offset),
-            span("node:T1", "n", 1.0, 3.0, parent_id="w1", pid=200 + pid_offset),
-            span("lost", "x", 6.0, 7.0, parent_id="gone", pid=300 + pid_offset),
-        ]
-
-    def test_byte_identical_across_record_orderings(self):
-        import itertools
-
-        reference = format_folded(self.trace())
-        assert reference.endswith("\n")
-        for permutation in itertools.permutations(self.trace()):
-            assert format_folded(list(permutation)) == reference
-
-    def test_repeated_folds_are_byte_identical(self):
-        texts = {format_folded(self.trace()) for _ in range(5)}
-        assert len(texts) == 1

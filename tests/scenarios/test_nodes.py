@@ -68,8 +68,8 @@ class TestMatrixInvariance:
         }
 
     def test_dispatch_order_never_changes_the_matrix(self, serial_result):
-        """Longest-first dispatch (perfdb priorities) reorders execution
-        only; verdicts and digests are identical to FIFO."""
+        """Priority dispatch reorders execution only; verdicts and
+        digests are identical to FIFO."""
         registry = default_registry()
         closure = registry.topo_order(list(_TARGETS))
         priorities = {name: float(i) for i, name in enumerate(closure)}

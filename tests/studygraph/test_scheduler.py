@@ -367,17 +367,6 @@ class TestOrderLongestFirst:
         order = order_longest_first(["x", "a", "y"], {"a": 1.0})
         assert order == ["a", "x", "y"]
 
-    def test_unseen_grid_point_falls_back_to_family_median(self):
-        priorities = {
-            "sweep.g[x=1]": 4.0,
-            "sweep.g[x=2]": 6.0,
-            "fast": 1.0,
-        }
-        # x=3 has never run: its estimate is the family median (5.0),
-        # so it still dispatches before the known-fast node.
-        order = order_longest_first(["fast", "sweep.g[x=3]"], priorities)
-        assert order == ["sweep.g[x=3]", "fast"]
-
     def test_empty_history_is_pure_fifo(self):
         assert order_longest_first(["b", "a"], {}) == ["b", "a"]
 

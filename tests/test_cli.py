@@ -341,22 +341,6 @@ class TestEverySubcommandSmoke:
         expanded = capsys.readouterr().out
         assert "sweep.rejuvenation[downtime_minutes=10.0,interval_hours=none]" in expanded
 
-    def test_study_run_longest_first_outputs_are_identical(self, capsys, tmp_path):
-        db = str(tmp_path / "perf.jsonl")
-        cache_a = str(tmp_path / "memo-a")
-        cache_b = str(tmp_path / "memo-b")
-        nodes = ["--nodes", "ablate.recovery-model", "--quiet"]
-        # Cold FIFO run records the history the second run schedules by.
-        assert main(["study", "run", *nodes, "--cache-dir", cache_a,
-                     "--perfdb", db, "--order", "fifo"]) == 0
-        capsys.readouterr()
-        assert main(["study", "run", *nodes, "--cache-dir", cache_b,
-                     "--perfdb", db, "--order", "longest-first"]) == 0
-        capsys.readouterr()
-        assert main(["study", "diff", cache_a, cache_b,
-                     "--nodes", "ablate.recovery-model"]) == 0
-        assert "drift" in capsys.readouterr().out
-
     def test_mine_run_rejects_positional_soup(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["mine", "run", "apache"])
@@ -586,7 +570,7 @@ class TestTraceAndDiffCommands:
 
 
 class TestPerfIntelligenceCommands:
-    """Flame output, the perf history verbs, and live monitoring."""
+    """Trace export, the perf history verbs, and live monitoring."""
 
     def _traced_run(self, tmp_path, capsys, name="a", extra=()):
         cache = str(tmp_path / f"cache-{name}")
@@ -598,46 +582,56 @@ class TestPerfIntelligenceCommands:
         capsys.readouterr()
         return cache, trace
 
-    def test_trace_summary_flame_renders_icicle(self, capsys, tmp_path):
-        _, trace = self._traced_run(tmp_path, capsys)
-        assert main([
-            "trace", "summary", trace, "--flame", "--flame-width", "60",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "icicle: 60 cols" in out
-        assert "root study.run" in out
-        assert "|study.run" in out
+    def test_trace_export_is_well_nested_per_process(self, capsys, tmp_path):
+        import json
 
-    def test_trace_export_folded_round_trips(self, capsys, tmp_path):
-        from repro.obs.flame import parse_folded
+        _, trace = self._traced_run(tmp_path, capsys, extra=("--workers", "2"))
+        out_path = tmp_path / "run.json"
+        assert main(["trace", "export", trace, "--out", str(out_path)]) == 0
+        assert "events to" in capsys.readouterr().out
+        events = json.loads(out_path.read_text(encoding="utf-8"))["traceEvents"]
+        tracks = {}
+        for event in events:
+            if event["ph"] == "X":
+                tracks.setdefault(event["pid"], []).append(event)
+        assert len(tracks) > 1  # the dispatcher and its pool workers
+        for track in tracks.values():
+            enclosing = []  # end times of the events still open
+            for event in sorted(track, key=lambda e: (e["ts"], -e["dur"])):
+                end = event["ts"] + event["dur"]
+                while enclosing and enclosing[-1] <= event["ts"]:
+                    enclosing.pop()
+                # Timestamps are rounded to 0.001 us each, hence the slack.
+                assert not enclosing or end <= enclosing[-1] + 0.01, event
+                enclosing.append(end)
 
-        _, trace = self._traced_run(tmp_path, capsys)
-        out_path = tmp_path / "run.folded"
-        assert main([
-            "trace", "export", trace, "--format", "folded",
-            "--out", str(out_path),
-        ]) == 0
-        assert "folded stacks" in capsys.readouterr().out
-        pairs = parse_folded(out_path.read_text(encoding="utf-8"))
-        assert pairs
-        assert all(stack[0] == "study.run" for stack, _ in pairs)
-
-    def test_trace_export_speedscope_schema(self, capsys, tmp_path):
+    def test_trace_export_replaces_the_file_atomically(self, capsys, tmp_path):
         import json
 
         _, trace = self._traced_run(tmp_path, capsys)
-        out_path = tmp_path / "run.speedscope.json"
-        assert main([
-            "trace", "export", trace, "--format", "speedscope",
-            "--out", str(out_path),
-        ]) == 0
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_path = out_dir / "run.json"
+        out_path.write_text("stale", encoding="utf-8")
+        assert main(["trace", "export", trace, "--out", str(out_path)]) == 0
         capsys.readouterr()
-        with open(out_path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        assert doc["$schema"] == (
-            "https://www.speedscope.app/file-format-schema.json"
-        )
-        assert doc["profiles"][0]["events"]
+        assert json.loads(out_path.read_text(encoding="utf-8"))["traceEvents"]
+        assert [p.name for p in out_dir.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "summary", "x.trace", "--flame"],
+            ["trace", "export", "x.trace", "--out", "x.json", "--format", "chrome"],
+            ["study", "run", "--order", "fifo"],
+            ["scenario", "run", "--order", "fifo"],
+        ],
+    )
+    def test_removed_options_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_perf_record_report_check(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GIT_SHA", "feedface00")
