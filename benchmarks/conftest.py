@@ -5,15 +5,7 @@ DESIGN.md's per-experiment index) and asserts the reproduced values, so
 ``pytest benchmarks/ --benchmark-only`` doubles as the reproduction
 check: timings from pytest-benchmark, correctness from the assertions,
 and the reproduced rows in each benchmark's ``extra_info``.
-
-Set ``REPRO_PERFDB=/path/to/perf.jsonl`` to append one perf-history run
-per benchmark session (one node per benchmark, named after the test),
-seeding the same longitudinal database that ``repro perf record`` and
-``repro study run --perfdb`` feed -- so benchmark trajectories and study
-runs share one ``repro perf report`` view.
 """
-
-import os
 
 import pytest
 
@@ -25,52 +17,6 @@ from repro.corpus.render import (
     mysql_raw_archive,
 )
 from repro.mining.gnome import GNOME_STUDY_COMPONENTS
-
-
-def _bench_wall_seconds(bench) -> float | None:
-    """Best-effort median wall seconds from a pytest-benchmark entry.
-
-    pytest-benchmark has moved the stats object around between releases
-    (``bench.stats.median`` vs ``bench.stats.stats.median``), so probe
-    both shapes rather than pin one.
-    """
-    stats = getattr(bench, "stats", None)
-    for candidate in (stats, getattr(stats, "stats", None)):
-        median = getattr(candidate, "median", None)
-        if isinstance(median, (int, float)):
-            return float(median)
-    return None
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append this benchmark session to a perf history when asked.
-
-    Opt-in via ``REPRO_PERFDB``; failures here never fail the session
-    (the history is telemetry, not a correctness artifact).
-    """
-    db_path = os.environ.get("REPRO_PERFDB")
-    if not db_path:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None:
-        return
-    try:
-        from repro.obs.perfdb import STATUS_BENCH, NodePerf, PerfDB, PerfRecord
-
-        nodes = {}
-        for bench in getattr(bench_session, "benchmarks", []):
-            wall = _bench_wall_seconds(bench)
-            name = getattr(bench, "name", None)
-            if wall is None or not name:
-                continue
-            nodes[name] = NodePerf(wall_seconds=wall, status=STATUS_BENCH)
-        if not nodes:
-            return
-        PerfDB(db_path).append(
-            PerfRecord.new(nodes, source="benchmark", label="pytest-benchmark")
-        )
-    except Exception:  # noqa: BLE001 -- never fail the run over telemetry
-        return
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Parameter-grid scaling and perfdb-informed longest-first dispatch.
+"""Parameter-grid scaling and longest-first dispatch.
 
 Two claims behind the grid refactor, measured:
 
@@ -14,7 +14,6 @@ Two claims behind the grid refactor, measured:
 
 import time
 
-from repro.obs.perfdb import NodePerf, PerfDB, PerfRecord
 from repro.studygraph import GridSpec, NodeSpec, StudyContext, run_study
 from repro.studygraph.registry import Registry
 
@@ -104,27 +103,14 @@ def _run_wave(priorities=None):
     return result, time.perf_counter() - started
 
 
-def test_bench_longest_first_beats_fifo(benchmark, tmp_path):
+def test_bench_longest_first_beats_fifo(benchmark):
     registry, grid = _grid_registry(FAST_POINTS + 1, producer=_stalled_point)
 
-    # The perfdb history the scheduler orders by: one recorded run with
-    # each point's true stall, read back through the real medians path.
-    db = PerfDB(tmp_path / "perf.jsonl")
-    db.append(
-        PerfRecord.new(
-            {
-                name: NodePerf(
-                    wall_seconds=SLOW_STALL if name.endswith("[i=0]") else FAST_STALL,
-                    version="1",
-                )
-                for name in grid.point_names()
-            },
-            source="study-run",
-            sha="bench",
-        )
-    )
-    priorities = db.node_medians()
-    assert priorities["sweep.bench[i=0]"] == SLOW_STALL
+    # The expected cost the scheduler orders by: each point's true stall.
+    priorities = {
+        name: SLOW_STALL if name.endswith("[i=0]") else FAST_STALL
+        for name in grid.point_names()
+    }
 
     fifo, fifo_wall = _run_wave()
     longest, lf_wall = _run_wave(priorities)

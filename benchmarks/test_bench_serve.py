@@ -16,9 +16,6 @@ daemon:
   requests through the socket must sustain > 1000 requests/second,
   with zero failures and zero admission rejections at this
   concurrency.
-
-Set ``REPRO_PERFDB`` (see conftest) to append the timings to the same
-perf history that gates regressions in CI.
 """
 
 import shutil

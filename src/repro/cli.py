@@ -4,7 +4,7 @@ Usage (after ``pip install -e .``, or via ``python -m repro``)::
 
     repro study run --workers 4   # every experiment, parallel + memoized
     repro study run --trace run.trace --workers 4   # same, traced
-    repro study run --live live.json --perfdb perf.jsonl   # monitored + recorded
+    repro study run --live live.json   # monitored
     repro study watch live.json   # refreshing status line for a live run
     repro study status            # per-node memo state, nothing executed
     repro study status --trace run.trace   # plus traced wall-ms per node
@@ -15,9 +15,6 @@ Usage (after ``pip install -e .``, or via ``python -m repro``)::
     repro scenario status         # memo state of the scenario closure
     repro trace summary run.trace   # phases, coverage, self time, slowest spans
     repro trace export run.trace --out run.json   # Perfetto / speedscope JSON
-    repro perf record --db perf.jsonl --trace run.trace   # append to history
-    repro perf report --db perf.jsonl   # longitudinal per-node view
-    repro perf check --db perf.jsonl    # gate vs rolling baseline (exit 1)
     repro serve start --workers 4 --warm T1,report   # warm daemon, detached
     repro serve request study --param node=T1        # served in milliseconds
     repro serve request ping --repeat 2000 --concurrency 8   # burst + p99
@@ -486,35 +483,6 @@ def _merge_status_rows(family: str, members: list[Sequence[Any]]) -> list[Any]:
     return merged
 
 
-def _record_study_run(
-    result: Any, context: Any, registry: Any, *, workers: int
-) -> Any:
-    """Build the perfdb record for one completed ``study run``."""
-    from repro import obs
-
-    nodes = {}
-    for name, run in result.runs.items():
-        nodes[name] = obs.NodePerf(
-            wall_seconds=run.wall_seconds,
-            status=run.status,
-            version=registry.node(name).version,
-            peak_rss_bytes=getattr(run, "peak_rss_bytes", None),
-            cpu_seconds=getattr(run, "cpu_seconds", None),
-        )
-    counters: dict[str, float] = {
-        "nodes.executed": result.executed,
-        "nodes.cached": result.cached,
-        "waves": result.waves,
-    }
-    if context.cache is not None:
-        stats = context.cache.stats()
-        counters["cache.hits"] = stats["hits"]
-        counters["cache.misses"] = stats["misses"]
-    return obs.PerfRecord.new(
-        nodes, source="study-run", workers=workers, counters=counters
-    )
-
-
 def _cmd_study_run(args: argparse.Namespace) -> int:
     import contextlib
 
@@ -581,13 +549,6 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
         print(f"trace: {args.trace}")
     if args.live:
         print(f"live snapshot: {args.live}")
-    if args.perfdb:
-        record = _record_study_run(result, context, registry, workers=args.workers)
-        obs.PerfDB(args.perfdb).append(record)
-        print(
-            f"perfdb: recorded {len(record.nodes)} node(s) as run "
-            f"{record.run_id} -> {args.perfdb}"
-        )
     if args.show:
         print()
         print(result.output_text(args.show))
@@ -599,17 +560,11 @@ def _cmd_study_watch(args: argparse.Namespace) -> int:
 
     from repro import obs
 
-    db = obs.PerfDB(args.perfdb) if args.perfdb else None
     deadline = time.monotonic() + args.timeout if args.timeout else None
     while True:
-        # Cached behind the file's (mtime, size): each refresh is a stat
-        # unless a recorder actually appended since the last loop.
-        history = db.node_medians() or None if db is not None else None
         snapshot = obs.read_snapshot(args.snapshot)
         print(
-            obs.render_watch_line(
-                snapshot, history=history, stale_after=args.stale_after
-            ),
+            obs.render_watch_line(snapshot, stale_after=args.stale_after),
             flush=True,
         )
         if snapshot is not None and snapshot.get("state") == "finished":
@@ -638,105 +593,6 @@ def _read_trace(path: str) -> list[dict[str, Any]]:
         raise SystemExit(f"no trace file at {path!r}") from None
     _report_skipped(skipped)
     return records
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro import obs
-
-    db = obs.PerfDB(args.db)
-
-    if args.perf_command == "record":
-        from repro.studygraph import StudyContext, default_registry, memo_walls
-
-        records = _read_trace(args.trace)
-        if not records:
-            raise SystemExit(f"no trace records in {args.trace!r}")
-        versions = {
-            node.name: node.version for node in default_registry().nodes()
-        }
-        memo = {}
-        if args.cache_dir:
-            memo = memo_walls(StudyContext.default(cache_dir=args.cache_dir))
-        record = obs.record_from_trace(
-            records, versions=versions, memo_walls=memo, label=args.label
-        )
-        if not record.nodes:
-            raise SystemExit(
-                f"trace {args.trace!r} has no node:* spans to record"
-            )
-        db.append(record)
-        traced = sum(1 for p in record.nodes.values() if p.status == "traced")
-        print(
-            f"recorded run {record.run_id} ({traced} traced node(s), "
-            f"{len(record.nodes) - traced} from memo META, git {record.git_sha[:10]}) "
-            f"-> {args.db}"
-        )
-        return 0
-
-    records = db.read_cached()
-    _report_skipped(db.skipped_lines)
-    if args.perf_command == "report":
-        if not records:
-            print(f"perf history {args.db} is empty")
-            return 0
-        print(
-            format_table(
-                ["run", "recorded at", "git", "source", "workers", "nodes", "total s"],
-                obs.perfdb.run_rows(records, limit=args.runs),
-                title=f"Perf history: {len(records)} run(s) in {args.db}",
-            )
-        )
-        print(
-            format_table(
-                ["node", "ver", "runs", "latest ms", "median ms", "best ms", "vs median"],
-                obs.perfdb.report_rows(records),
-                title="Per-node history (measured runs only)",
-            )
-        )
-        return 0
-
-    # check
-    latest, regressions = obs.check_regressions(
-        records,
-        window=args.window,
-        tolerance=args.tolerance,
-        min_seconds=args.min_ms / 1000.0,
-    )
-    if latest is None:
-        print(f"perf history {args.db} is empty; nothing to check")
-        return 0
-    baseline_runs = sum(
-        1 for record in records[:-1] if record.source == latest.source
-    )
-    if not regressions:
-        print(
-            f"no regressions: run {latest.run_id} vs a "
-            f"{min(baseline_runs, args.window)}-run baseline window "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-        return 0
-    print(
-        format_table(
-            ["node", "baseline ms", "latest ms", "ratio", "samples"],
-            [
-                [
-                    r.node,
-                    f"{r.baseline_seconds * 1000:.1f}",
-                    f"{r.latest_seconds * 1000:.1f}",
-                    f"{r.ratio:.2f}x",
-                    r.samples,
-                ]
-                for r in regressions
-            ],
-            title=f"PERF REGRESSION: run {latest.run_id} vs median of "
-            f"{min(baseline_runs, args.window)} baseline run(s), "
-            f"tolerance {args.tolerance:.0%}",
-        )
-    )
-    if args.warn_only:
-        print("warn-only mode: not failing the check")
-        return 0
-    return 1
 
 
 def _cmd_study_diff(args: argparse.Namespace) -> int:
@@ -864,9 +720,8 @@ _SCENARIO_DEFAULT_NODES = "scenario.pairs,scenario.temporal"
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
     """``repro scenario run``: ``study run`` scoped to the scenario nodes.
 
-    Same engine, same flags -- memoized waves, perfdb-informed dispatch,
-    tracing, live snapshots -- just targeted at ``scenario.*`` unless
-    ``--nodes`` says otherwise.
+    Same engine, same flags -- memoized waves, tracing, live snapshots --
+    just targeted at ``scenario.*`` unless ``--nodes`` says otherwise.
     """
     if not args.nodes:
         args.nodes = [_SCENARIO_DEFAULT_NODES]
@@ -1078,14 +933,18 @@ def _cmd_serve_stop(args: argparse.Namespace) -> int:
 
 def _cmd_slo_check(args: argparse.Namespace) -> int:
     """``repro slo check``: judge declared objectives against artifacts."""
-    from repro import obs
     from repro.obs import slo
 
-    objectives = (
-        slo.load_objectives(args.slo_file)
-        if args.slo_file
-        else slo.default_objectives()
-    )
+    objectives = slo.default_objectives()
+    if args.slo_file:
+        try:
+            objectives = slo.load_objectives(args.slo_file)
+        except FileNotFoundError:
+            raise SystemExit(f"no objectives file at {args.slo_file!r}") from None
+        except ValueError as exc:
+            raise SystemExit(
+                f"bad objectives file {args.slo_file!r}: {exc}"
+            ) from None
 
     exposition_text = None
     if args.metrics:
@@ -1095,12 +954,6 @@ def _cmd_slo_check(args: argparse.Namespace) -> int:
         except FileNotFoundError:
             raise SystemExit(f"no metrics exposition at {args.metrics!r}") from None
 
-    perf_records = None
-    if args.db:
-        db = obs.PerfDB(args.db)
-        perf_records = db.read()
-        _report_skipped(db.skipped_lines)
-
     trace_records = None
     if args.trace:
         trace_records = _read_trace(args.trace)
@@ -1109,7 +962,6 @@ def _cmd_slo_check(args: argparse.Namespace) -> int:
         results = slo.evaluate_objectives(
             objectives,
             exposition_text=exposition_text,
-            perf_records=perf_records,
             trace_records=trace_records,
         )
     except ValueError as exc:
@@ -1502,10 +1354,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write an atomic live-status snapshot here (see 'repro study watch')",
     )
     study_run.add_argument(
-        "--perfdb", default=None, metavar="PATH",
-        help="append this run's per-node wall times to a perf history JSONL",
-    )
-    study_run.add_argument(
         "--expand-grids", action="store_true",
         help="list every grid point in the summary instead of one row per family",
     )
@@ -1514,7 +1362,7 @@ def build_parser() -> argparse.ArgumentParser:
         const=0.02, metavar="SECONDS",
         help="sample RSS/CPU/IO for the dispatcher and every worker at this "
         "interval (default 0.02s when the flag is given); samples land in "
-        "the --trace file span-attributed and per-node peaks in --perfdb",
+        "the --trace file span-attributed",
     )
     study_run.set_defaults(func=_cmd_study_run)
 
@@ -1529,10 +1377,6 @@ def build_parser() -> argparse.ArgumentParser:
     study_watch.add_argument(
         "--once", action="store_true",
         help="print one status line and exit",
-    )
-    study_watch.add_argument(
-        "--perfdb", default=None, metavar="PATH",
-        help="perf history used to estimate per-node ETAs",
     )
     study_watch.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -1632,10 +1476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write an atomic live-status snapshot here (see 'repro study watch')",
     )
     scenario_run.add_argument(
-        "--perfdb", default=None, metavar="PATH",
-        help="append this run's per-node wall times to a perf history JSONL",
-    )
-    scenario_run.add_argument(
         "--expand-grids", action="store_true",
         help="list every pair point in the summary instead of one family row",
     )
@@ -1704,67 +1544,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output file",
     )
     trace_export.set_defaults(func=_cmd_trace)
-
-    perf = subparsers.add_parser(
-        "perf", help="trace-backed perf history: record runs, report, gate regressions"
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    perf_record = perf_sub.add_parser(
-        "record", help="append one traced run's per-node wall times to the history"
-    )
-    perf_record.add_argument(
-        "--db", required=True, metavar="PATH",
-        help="perf history JSONL (created if missing)",
-    )
-    perf_record.add_argument(
-        "--trace", required=True, metavar="PATH",
-        help="span trace recorded with 'study run --trace'",
-    )
-    perf_record.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="also record memoized nodes' original wall times from this memo cache",
-    )
-    perf_record.add_argument(
-        "--label", default=None,
-        help="free-form label stored with the run (e.g. a branch name)",
-    )
-    perf_record.set_defaults(func=_cmd_perf)
-
-    perf_report = perf_sub.add_parser(
-        "report", help="run log plus longitudinal per-node timing table"
-    )
-    perf_report.add_argument(
-        "--db", required=True, metavar="PATH", help="perf history JSONL"
-    )
-    perf_report.add_argument(
-        "--runs", type=int, default=10, help="how many recent runs to list"
-    )
-    perf_report.set_defaults(func=_cmd_perf)
-
-    perf_check = perf_sub.add_parser(
-        "check", help="gate the latest run against a rolling baseline (exit 1 on regression)"
-    )
-    perf_check.add_argument(
-        "--db", required=True, metavar="PATH", help="perf history JSONL"
-    )
-    perf_check.add_argument(
-        "--window", type=int, default=3,
-        help="baseline window: median of up to N prior runs (default 3)",
-    )
-    perf_check.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed slowdown over the baseline median (default 0.25 = 25%%)",
-    )
-    perf_check.add_argument(
-        "--min-ms", type=float, default=1.0,
-        help="ignore nodes faster than this in every sample (default 1.0 ms)",
-    )
-    perf_check.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but always exit 0 (CI soak-in mode)",
-    )
-    perf_check.set_defaults(func=_cmd_perf)
 
     serve = subparsers.add_parser(
         "serve",
@@ -1903,7 +1682,7 @@ def build_parser() -> argparse.ArgumentParser:
     slo = subparsers.add_parser(
         "slo",
         help="service-level objectives: judge latency/budget/resource "
-        "objectives against scraped metrics, perf history, and traces",
+        "objectives against scraped metrics and traces",
     )
     slo_sub = slo.add_subparsers(dest="slo_command", required=True)
 
@@ -1917,12 +1696,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="scraped text exposition ('repro serve status --metrics > FILE')",
     )
     slo_check.add_argument(
-        "--db", default=None, metavar="PATH",
-        help="perf history JSONL (for peak-RSS objectives)",
-    )
-    slo_check.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="trace JSONL with resource samples (for RSS-growth objectives)",
+        help="trace JSONL with resource samples (for peak-RSS and "
+        "RSS-growth objectives)",
     )
     slo_check.add_argument(
         "--slo-file", default=None, metavar="FILE",

@@ -1,9 +1,9 @@
 """On-disk I/O: one JSONL append, one skip-and-count reader, one atomic write.
 
-Journals, traces and the perf history are JSONL logs appended with
-:func:`append_line` and read with :func:`read_jsonl`; memo-cache entries,
-live snapshots and the segment manifest are replaced whole with
-:func:`atomic_write`.  Callers own encoding and record validation.
+Journals and traces are JSONL logs appended with :func:`append_line`
+and read with :func:`read_jsonl`; memo-cache entries, live snapshots
+and the segment manifest are replaced whole with :func:`atomic_write`.
+Callers own encoding and record validation.
 
 A killed process tears at most its last appended line, which readers
 skip and count.  Nothing is fsynced, so power loss is not covered.

@@ -22,8 +22,6 @@ report into:
   and in speedscope, which draw the flame views;
 * :mod:`~repro.obs.summary` -- wall-time attribution for ``repro trace
   summary``;
-* :mod:`~repro.obs.perfdb` -- the append-only JSONL perf history with
-  rolling-baseline regression gating (``repro perf record|report|check``);
 * :mod:`~repro.obs.livestatus` -- atomic heartbeat snapshots and the
   ``repro study watch`` renderer for live run monitoring;
 * :mod:`~repro.obs.hist` -- the deterministic log-linear
@@ -34,8 +32,8 @@ report into:
   sampler (:class:`ResourceSampler`) whose span-attributed RSS/CPU/IO
   samples travel the same trace channel spans do;
 * :mod:`~repro.obs.slo` -- declarative service-level objectives
-  evaluated offline from exposition text, perf history, and traces
-  (``repro slo check``).
+  evaluated offline from exposition text and traces (``repro slo
+  check``).
 
 **Zero overhead by default**: with no tracer installed, :func:`span`
 returns a shared no-op object and :func:`current_context` returns None;
@@ -65,20 +63,6 @@ from repro.obs.livestatus import (
     write_snapshot,
 )
 from repro.obs.metrics import LOCAL_SHARD, MetricsRegistry, TimerStats
-from repro.obs.perfdb import (
-    NodePerf,
-    PerfDB,
-    PerfRecord,
-    Regression,
-    check_regressions,
-    family_medians,
-    grid_family,
-    node_medians,
-    record_from_trace,
-    throughput_counters,
-    throughput_record,
-    traced_node_walls,
-)
 from repro.obs.resources import (
     RESOURCE_KIND,
     ResourceSample,
@@ -128,14 +112,10 @@ __all__ = [
     "MemorySink",
     "MetricsRegistry",
     "NameStats",
-    "NodePerf",
     "NullSink",
     "Objective",
     "ORPHAN_PHASE",
-    "PerfDB",
-    "PerfRecord",
     "RESOURCE_KIND",
-    "Regression",
     "ResourceSample",
     "ResourceSampler",
     "ResourceUsage",
@@ -150,7 +130,6 @@ __all__ = [
     "active_tracer",
     "bucket_percentile",
     "capture",
-    "check_regressions",
     "chrome_trace",
     "current_context",
     "default_objectives",
@@ -158,29 +137,22 @@ __all__ = [
     "evaluate_objectives",
     "exposition_buckets",
     "exposition_value",
-    "family_medians",
-    "grid_family",
     "healthz_view",
     "histogram_lines",
     "ingest",
     "install",
     "is_resource_record",
     "load_objectives",
-    "node_medians",
     "parse_exposition",
     "proc_available",
     "read_snapshot",
     "read_trace",
-    "record_from_trace",
     "render_watch_line",
     "resource_records",
     "rss_series_by_span",
     "sampling_enabled",
     "span",
     "summarize_trace",
-    "throughput_counters",
-    "throughput_record",
-    "traced_node_walls",
     "tracing",
     "uninstall",
     "usage_by_phase",

@@ -6,8 +6,7 @@ module adds the *during*: the dispatching process periodically writes a
 small, atomic JSON snapshot (:func:`repro.fileio.atomic_write`, so a
 reader never sees a half-written file) and ``repro study watch``
 renders it as a refreshing one-line status: per-wave progress, the
-currently slowest in-flight nodes, and an ETA computed from perfdb
-history when one is available.
+currently slowest in-flight nodes, and an ETA from the run's own pace.
 
 Two layers feed the snapshot:
 
@@ -37,7 +36,6 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro import fileio
-from repro.obs.perfdb import family_medians, grid_family
 
 #: Snapshot format version.
 SNAPSHOT_VERSION = 1
@@ -303,21 +301,12 @@ def healthz_view(
 # -- the watch side ------------------------------------------------------ #
 
 
-def eta_seconds(
-    snapshot: Mapping[str, Any],
-    *,
-    history: Mapping[str, float] | None = None,
-) -> float | None:
+def eta_seconds(snapshot: Mapping[str, Any]) -> float | None:
     """Estimated seconds to completion, or None when unknowable.
 
-    With perfdb ``history`` (node -> median wall seconds), the remaining
-    work is the sum of medians over pending and in-flight nodes (less
-    time already spent in flight), divided by the worker count.  A grid
-    point (``family[axis=value,...]``) the history has never seen is
-    budgeted at its family's median-of-medians, so thousand-point grid
-    runs keep a meaningful ETA even when most points are fresh; other
-    nodes without history fall back to the run's observed mean node
-    cost; with no history at all, the whole estimate is pace-based.
+    Pace-based: each pending or in-flight node is budgeted at the run's
+    observed mean node cost (less time already spent in flight), and
+    the sum is divided by the worker count.
     """
     total = snapshot.get("total", 0)
     done = snapshot.get("done", 0)
@@ -326,9 +315,9 @@ def eta_seconds(
         return 0.0 if snapshot.get("state") == STATE_FINISHED else None
 
     executed = snapshot.get("executed", 0)
-    mean_cost = (
-        snapshot.get("done_wall_seconds", 0.0) / executed if executed else None
-    )
+    if not executed:
+        return None
+    mean_cost = snapshot.get("done_wall_seconds", 0.0) / executed
 
     in_flight = {
         entry["name"]: entry.get("seconds", 0.0)
@@ -337,28 +326,15 @@ def eta_seconds(
     # In-flight nodes are still pending (they leave only on completion),
     # so the union avoids budgeting them twice.
     remaining_names = set(snapshot.get("pending", [])) | set(in_flight)
-
-    history = history or {}
-    families = family_medians(history) if history else {}
-    budget = 0.0
-    known = 0
-    for name in sorted(remaining_names):
-        expected = history.get(name)
-        if expected is None:
-            family = grid_family(name)
-            if family is not None:
-                expected = families.get(family)
-        if expected is None:
-            expected = mean_cost
-        if expected is None:
-            continue
-        known += 1
-        budget += max(0.0, expected - in_flight.get(name, 0.0))
-    if known == 0:
+    if not remaining_names:
         return None
-    if known < remaining_count and known:
+
+    budget = 0.0
+    for name in sorted(remaining_names):
+        budget += max(0.0, mean_cost - in_flight.get(name, 0.0))
+    if len(remaining_names) < remaining_count:
         # Scale up for remaining nodes the snapshot did not name.
-        budget *= remaining_count / known
+        budget *= remaining_count / len(remaining_names)
     workers = max(1, snapshot.get("workers", 1))
     return budget / workers
 
@@ -367,7 +343,6 @@ def render_watch_line(
     snapshot: Mapping[str, Any] | None,
     *,
     now: float | None = None,
-    history: Mapping[str, float] | None = None,
     stale_after: float = DEFAULT_STALE_AFTER,
 ) -> str:
     """One status line for ``repro study watch``.
@@ -403,7 +378,7 @@ def render_watch_line(
     if snapshot.get("state") == STATE_FINISHED:
         parts.append(f"finished in {snapshot.get('elapsed_seconds', 0.0):.1f}s")
     else:
-        eta = eta_seconds(snapshot, history=history)
+        eta = eta_seconds(snapshot)
         if eta is not None:
             parts.append(f"eta ~{eta:.0f}s")
         age = now - snapshot.get("updated_at", now)

@@ -12,8 +12,8 @@ in the sampled process at that instant (via
 Sample records share the span-record transport end to end: a worker's
 sampler buffers records that ship back through the same
 ``UnitExecution`` channel spans use, the dispatcher ``ingest``\\ s them
-into the one trace sink, and trace consumers (``summarize_trace``,
-``record_from_trace``, the SLO checker) fold them into per-phase
+into the one trace sink, and trace consumers (``summarize_trace``
+and the SLO checker) fold them into per-span and per-phase
 peak-RSS and CPU attributions with the helpers at the bottom of this
 module.  Records without ``start``/``end`` keys are invisible to every
 span-only consumer, so old tooling keeps working on new traces.

@@ -1,18 +1,18 @@
 """Declarative service-level objectives, evaluated offline.
 
 The observability stack now measures three things no single component
-judges: request latency (the serve exposition), per-node resource cost
-(the perf history), and in-run RSS behaviour (sampler records in a
-trace).  This module is the judge: an :class:`Objective` declares a
-bound, :func:`evaluate_objectives` checks every objective against
-whatever evidence sources are on hand, and ``repro slo check`` turns
-the verdicts into a CI gate.
+judges: request latency (the serve exposition), per-node peak RSS and
+in-run RSS behaviour (both from sampler records in a trace).  This
+module is the judge: an :class:`Objective` declares a bound,
+:func:`evaluate_objectives` checks every objective against whatever
+evidence sources are on hand, and ``repro slo check`` turns the
+verdicts into a CI gate.
 
 Three design points, all deliberate:
 
 * **Offline, from artifacts.**  Evaluation reads a scraped exposition
-  text, a perfdb JSONL, and/or a trace file -- never a live daemon --
-  so the same check runs in CI, post-hoc on archived runs, and locally.
+  text and/or a trace file -- never a live daemon -- so the same check
+  runs in CI, post-hoc on archived runs, and locally.
 * **Three-valued verdicts.**  ``ok`` / ``violated`` / ``no-data``: an
   objective whose evidence source is absent reports ``no-data`` rather
   than passing silently or failing spuriously.  The CLI only fails on
@@ -45,8 +45,7 @@ from repro.obs.hist import (
     exposition_value,
     parse_exposition,
 )
-from repro.obs.perfdb import PerfRecord, grid_family
-from repro.obs.resources import rss_series_by_span
+from repro.obs.resources import rss_series_by_span, usage_by_span_name
 
 __all__ = [
     "Objective",
@@ -89,9 +88,9 @@ class Objective:
         threshold: the bound (seconds, a fraction, or bytes -- see the
             per-kind evaluators).
         target: what the objective applies to: a request kind for
-            ``latency``, a node or grid-family name for ``peak-rss``, a
-            span-name prefix for ``rss-growth``; unused by the budget
-            kinds.
+            ``latency``, a span-name prefix for ``peak-rss`` and
+            ``rss-growth`` (``node:sweep.g`` covers a grid family);
+            unused by the budget kinds.
         fraction: the percentile for ``latency`` (default p99); the
             minimum sample count for ``rss-growth`` (as a float).
     """
@@ -191,7 +190,7 @@ def default_objectives() -> list[Objective]:
         Objective(
             name="campaign-peak-rss",
             kind=KIND_PEAK_RSS,
-            target="",  # any node
+            target="node:",  # any node
             threshold=2 * 1024 ** 3,
         ),
         Objective(
@@ -208,13 +207,22 @@ def load_objectives(path: str | Path) -> list[Objective]:
     """Objectives from a JSON file: a list of objective objects.
 
     Raises:
+        FileNotFoundError: there is no file at ``path``.
         ValueError: the file is not a JSON list or an entry is invalid.
     """
     with open(path, "r", encoding="utf-8") as stream:
         data = json.load(stream)
     if not isinstance(data, list):
         raise ValueError("objectives file must be a JSON list")
-    return [Objective.from_dict(entry) for entry in data]
+    objectives = []
+    for index, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ValueError(f"objective {index} is not a JSON object")
+        try:
+            objectives.append(Objective.from_dict(entry))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"objective {index}: {exc}") from None
+    return objectives
 
 
 # -- per-kind evaluators -------------------------------------------------- #
@@ -264,32 +272,21 @@ def _eval_budget(
 
 
 def _eval_peak_rss(
-    objective: Objective, records: list[PerfRecord]
+    objective: Objective, trace_records: list[dict[str, Any]]
 ) -> SloResult:
-    """Worst sampled peak RSS among matching nodes in the *latest* run
-    that carries resource data (per node, or per grid family)."""
-    for record in reversed(records):
-        peaks = {
-            name: perf.peak_rss_bytes
-            for name, perf in record.nodes.items()
-            if perf.peak_rss_bytes is not None and _node_matches(name, objective.target)
-        }
-        if peaks:
-            worst = max(peaks, key=lambda name: peaks[name])
-            return _verdict(
-                objective,
-                float(peaks[worst]),
-                f"worst node {worst} in run {record.run_id}",
-            )
-    return _no_data(
-        objective, f"no perf record carries peak RSS for {objective.target or 'any node'}"
-    )
-
-
-def _node_matches(name: str, target: str) -> bool:
-    if not target:
-        return True
-    return name == target or grid_family(name) == target
+    """Worst sampled peak RSS among the spans whose name starts with
+    the target (``node:`` covers every study node)."""
+    peaks = {
+        name: usage.peak_rss_bytes
+        for name, usage in sorted(usage_by_span_name(trace_records).items())
+        if name.startswith(objective.target)
+    }
+    if not peaks:
+        return _no_data(
+            objective, f"no resource samples for {objective.target or 'any span'}"
+        )
+    worst = max(peaks, key=lambda name: peaks[name])
+    return _verdict(objective, float(peaks[worst]), f"worst span {worst}")
 
 
 def _eval_rss_growth(
@@ -345,7 +342,6 @@ def evaluate_objectives(
     objectives: Iterable[Objective],
     *,
     exposition_text: str | None = None,
-    perf_records: list[PerfRecord] | None = None,
     trace_records: Iterable[dict[str, Any]] | None = None,
 ) -> list[SloResult]:
     """Judge every objective against the evidence sources provided.
@@ -379,9 +375,9 @@ def evaluate_objectives(
             )
         elif objective.kind == KIND_PEAK_RSS:
             results.append(
-                _eval_peak_rss(objective, perf_records)
-                if perf_records
-                else _no_data(objective, "no perf history provided")
+                _eval_peak_rss(objective, trace)
+                if trace is not None
+                else _no_data(objective, "no trace provided")
             )
         elif objective.kind == KIND_RSS_GROWTH:
             results.append(

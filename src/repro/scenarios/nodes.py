@@ -2,8 +2,7 @@
 
 The ``scenario.*`` nodes put the multi-fault workload on the same
 machinery every other experiment uses -- memoized wave scheduling,
-perfdb recording, obs tracing, and the serve daemon all absorb it
-unchanged:
+obs tracing, and the serve daemon all absorb it unchanged:
 
 * ``scenario.baseline`` (artifact) -- the 139 single-fault replay
   verdicts under the scenario technique, shared by every pair point;

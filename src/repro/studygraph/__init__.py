@@ -35,7 +35,6 @@ from repro.studygraph.registry import GridFamily, Registry, default_registry
 from repro.studygraph.scheduler import (
     NodeRun,
     StudyRunResult,
-    memo_walls,
     order_longest_first,
     run_single_node,
     run_study,
@@ -60,7 +59,6 @@ __all__ = [
     "format_grid_value",
     "grid_point_label",
     "grid_point_name",
-    "memo_walls",
     "order_longest_first",
     "run_single_node",
     "run_study",

@@ -20,8 +20,8 @@ experiment by default) plus their dependency closure:
    (``payload_bytes``), so a caller can judge a payload's size before
    loading it.  One check
    (:func:`_memo_meta`) decides whether a metadata entry is a hit, and
-   ``study status``, ``study diff`` and ``perf record`` read the same
-   check through :func:`resolve_memo`.
+   ``study status`` and ``study diff`` read the same check through
+   :func:`resolve_memo`.
 
 Equivalence contract: for any worker count and any cache state, every
 node's payload is identical to the serial cold execution -- producers
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.obs import resources as obs_resources
@@ -73,11 +73,6 @@ class NodeRun:
         digest: the output artifact's content digest.
         key: the node's memo key for this run.
         wall_seconds: producer wall time (0.0 for memo hits).
-        cpu_seconds: process CPU time the producer consumed (None for
-            memo hits).
-        peak_rss_bytes: peak RSS the resource sampler saw while the
-            producer ran (None when sampling is off or the node was a
-            memo hit).
         payload_bytes: length of the output's canonical JSON, measured
             when the digest was computed and recorded in the memo entry
             (None for a memo hit whose entry predates the field).
@@ -88,8 +83,6 @@ class NodeRun:
     digest: str
     key: str
     wall_seconds: float
-    cpu_seconds: float | None = None
-    peak_rss_bytes: int | None = None
     payload_bytes: int | None = None
 
 
@@ -367,8 +360,6 @@ def run_study(
                         runs[name] = NodeRun(
                             name, STATUS_EXECUTED, digest, keys[name],
                             result["wall_seconds"],
-                            cpu_seconds=result.get("cpu_seconds"),
-                            peak_rss_bytes=result.get("peak_rss_bytes"),
                             payload_bytes=result["payload_bytes"],
                         )
                         telemetry.count("studygraph.nodes.executed")
@@ -495,6 +486,25 @@ def resolve_memo(
     return resolved
 
 
+def traced_node_walls(
+    trace_records: Iterable[Mapping[str, Any]],
+) -> dict[str, float]:
+    """Wall seconds per node from a trace's ``node:*`` spans.
+
+    Repeated executions of one node (a rebuild after payload rot) sum;
+    a span without both ``start`` and ``end`` is skipped.
+    """
+    walls: dict[str, float] = {}
+    for record in trace_records:
+        name = record.get("name", "")
+        if not name.startswith("node:") or "start" not in record or "end" not in record:
+            continue
+        node = name[len("node:"):]
+        seconds = max(0.0, record["end"] - record["start"])
+        walls[node] = walls.get(node, 0.0) + seconds
+    return walls
+
+
 def study_status(
     context: StudyContext,
     *,
@@ -522,7 +532,7 @@ def study_status(
     order = registry.topo_order(registry.targets(nodes))
     resolved = resolve_memo(context.cache, registry, order)
     traced = (
-        obs.traced_node_walls(trace_records) if trace_records is not None else None
+        traced_node_walls(trace_records) if trace_records is not None else None
     )
     rows: list[list[str]] = []
     for name in order:
@@ -547,24 +557,3 @@ def study_status(
         rows.append(row)
     return rows
 
-
-def memo_walls(
-    context: StudyContext,
-    *,
-    nodes: Sequence[str] | None = None,
-    registry: Registry | None = None,
-) -> dict[str, float]:
-    """Recorded producer wall seconds for memo-satisfied nodes.
-
-    The :func:`resolve_memo` walk reduced to ``{node: wall_seconds}``
-    for every node whose memo entry resolves and recorded a producer
-    time -- the join ``repro perf record`` uses to carry
-    cache-satisfied nodes into the perf history.
-    """
-    registry = registry if registry is not None else default_registry()
-    order = registry.topo_order(registry.targets(nodes))
-    return {
-        name: float(meta["wall_seconds"])
-        for name, meta in resolve_memo(context.cache, registry, order).items()
-        if meta.get("wall_seconds") is not None
-    }

@@ -130,10 +130,6 @@ class TestEta:
         base.update(overrides)
         return base
 
-    def test_history_based_estimate(self):
-        eta = eta_seconds(self.snapshot(), history={"c": 3.0, "d": 5.0})
-        assert eta == pytest.approx(8.0)
-
     def test_pace_fallback_uses_mean_node_cost(self):
         # 4s over 2 executed nodes -> 2s each for the remaining 2.
         assert eta_seconds(self.snapshot()) == pytest.approx(4.0)
@@ -142,36 +138,11 @@ class TestEta:
         snapshot = self.snapshot(
             in_flight=[{"name": "c", "seconds": 2.0}], pending=["c", "d"]
         )
-        eta = eta_seconds(snapshot, history={"c": 3.0, "d": 5.0})
-        assert eta == pytest.approx(1.0 + 5.0)
+        # Mean node cost is 2.0s; "c" has already spent 2.0s in flight.
+        assert eta_seconds(snapshot) == pytest.approx(0.0 + 2.0)
 
     def test_workers_divide_the_budget(self):
-        eta = eta_seconds(
-            self.snapshot(workers=2), history={"c": 3.0, "d": 5.0}
-        )
-        assert eta == pytest.approx(4.0)
-
-    def test_unseen_grid_point_budgeted_at_family_median(self):
-        snapshot = self.snapshot(
-            pending=["sweep.g[x=3]", "sweep.g[x=4]"], done_wall_seconds=0.0,
-            executed=0,
-        )
-        # Neither pending point has history, but two siblings do: each
-        # unseen point costs the family median (2.0).
-        history = {"sweep.g[x=1]": 1.0, "sweep.g[x=2]": 3.0}
-        assert eta_seconds(snapshot, history=history) == pytest.approx(4.0)
-
-    def test_family_fallback_mixes_with_direct_history(self):
-        snapshot = self.snapshot(pending=["sweep.g[x=3]", "d"])
-        history = {"sweep.g[x=1]": 4.0, "d": 5.0}
-        assert eta_seconds(snapshot, history=history) == pytest.approx(9.0)
-
-    def test_non_grid_nodes_never_inherit_family_estimates(self):
-        # "c" has no history and is not a grid point: it falls back to
-        # the run's mean node cost (2.0), not any family median.
-        snapshot = self.snapshot(pending=["c", "sweep.g[x=2]"])
-        history = {"sweep.g[x=1]": 7.0}
-        assert eta_seconds(snapshot, history=history) == pytest.approx(9.0)
+        assert eta_seconds(self.snapshot(workers=2)) == pytest.approx(2.0)
 
     def test_finished_run_is_zero(self):
         assert eta_seconds(self.snapshot(state="finished", done=4)) == 0.0

@@ -1,4 +1,4 @@
-"""A SIGKILLed trace or perfdb writer tears at most its last line."""
+"""A SIGKILLed trace writer tears at most its last line."""
 
 import os
 import signal
@@ -9,18 +9,8 @@ from pathlib import Path
 
 import repro
 from repro.obs import read_trace
-from repro.obs.perfdb import PerfDB
 
-#: Children that append large lines forever, until killed.
-_PERFDB_WRITER = """
-import sys
-from repro.obs.perfdb import NodePerf, PerfDB, PerfRecord
-db = PerfDB(sys.argv[1])
-nodes = {f"node.{n:04d}": NodePerf(0.001 * n, version="1") for n in range(300)}
-while True:
-    db.append(PerfRecord.new(nodes, source="study-run", sha="deadbeef"))
-"""
-
+#: A child that appends large lines forever, until killed.
 _TRACE_WRITER = """
 import sys
 from repro.obs import JsonlSink
@@ -54,16 +44,6 @@ def _kill_after_lines(script, path, lines):
 
 #: Whole lines to wait for before the kill.
 WANTED = 20
-
-
-def test_killed_perfdb_writer_loses_at_most_one_line(tmp_path):
-    path = tmp_path / "perf.jsonl"
-    _kill_after_lines(_PERFDB_WRITER, path, WANTED)
-    db = PerfDB(path)
-    records = db.read()
-    assert len(records) >= WANTED
-    assert db.skipped_lines <= 1
-    assert all(len(record.nodes) == 300 for record in records)
 
 
 def test_killed_trace_writer_loses_at_most_one_line(tmp_path):

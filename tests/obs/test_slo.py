@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs.hist import Histogram, histogram_lines, metric_line
-from repro.obs.perfdb import NodePerf, PerfRecord
 from repro.obs.slo import (
     KIND_ERROR_BUDGET,
     KIND_LATENCY,
@@ -68,17 +67,6 @@ def exposition_with_latencies(
         histogram_lines("repro_request_latency_seconds", hist, {"kind": kind})
     )
     return "\n".join(lines) + "\n"
-
-
-def perf_record(nodes: dict[str, NodePerf], run_id: str = "r1") -> PerfRecord:
-    return PerfRecord(
-        run_id=run_id,
-        recorded_at="2026-08-08T00:00:00Z",
-        git_sha="unknown",
-        source="study-run",
-        workers=1,
-        nodes=nodes,
-    )
 
 
 def rss_samples(
@@ -281,90 +269,64 @@ class TestBudgetObjectives:
         assert result.status == STATUS_NO_DATA
 
 
-# -- peak RSS from perf history ------------------------------------------- #
+# -- peak RSS from trace resource samples -------------------------------- #
 
 
 class TestPeakRssObjective:
-    def test_ok_under_threshold(self):
-        records = [
-            perf_record({"T1": NodePerf(wall_seconds=0.1, peak_rss_bytes=100 * MB)})
-        ]
-        result = _one(
-            evaluate_objectives(
-                [Objective(name="rss", kind=KIND_PEAK_RSS, threshold=256 * MB)],
-                perf_records=records,
-            )
+    def objective(self, target: str = "node:") -> Objective:
+        return Objective(
+            name="rss", kind=KIND_PEAK_RSS, target=target, threshold=256 * MB
         )
+
+    def test_ok_under_threshold(self):
+        trace = rss_samples("node:T1", [60 * MB, 100 * MB, 80 * MB])
+        result = _one(evaluate_objectives([self.objective()], trace_records=trace))
         assert result.status == STATUS_OK
         assert result.observed == 100 * MB
 
     def test_violated_names_worst_node(self):
-        records = [
-            perf_record(
-                {
-                    "T1": NodePerf(wall_seconds=0.1, peak_rss_bytes=100 * MB),
-                    "mine": NodePerf(wall_seconds=0.2, peak_rss_bytes=900 * MB),
-                }
-            )
-        ]
-        result = _one(
-            evaluate_objectives(
-                [Objective(name="rss", kind=KIND_PEAK_RSS, threshold=256 * MB)],
-                perf_records=records,
-            )
+        trace = rss_samples("node:T1", [100 * MB]) + rss_samples(
+            "node:mine", [900 * MB], pid=5678
         )
+        result = _one(evaluate_objectives([self.objective()], trace_records=trace))
         assert result.violated
         assert result.observed == 900 * MB
-        assert "mine" in result.detail
-
-    def test_uses_latest_record_with_resource_data(self):
-        records = [
-            perf_record(
-                {"T1": NodePerf(wall_seconds=0.1, peak_rss_bytes=999 * MB)}, "old"
-            ),
-            perf_record(
-                {"T1": NodePerf(wall_seconds=0.1, peak_rss_bytes=10 * MB)}, "new"
-            ),
-            perf_record({"T1": NodePerf(wall_seconds=0.1)}, "no-resources"),
-        ]
-        result = _one(
-            evaluate_objectives(
-                [Objective(name="rss", kind=KIND_PEAK_RSS, threshold=256 * MB)],
-                perf_records=records,
-            )
-        )
-        assert result.status == STATUS_OK
-        assert "new" in result.detail
+        assert "node:mine" in result.detail
 
     def test_target_matches_grid_family(self):
-        records = [
-            perf_record(
-                {
-                    "mine[scale=3]": NodePerf(
-                        wall_seconds=0.1, peak_rss_bytes=500 * MB
-                    ),
-                    "other": NodePerf(wall_seconds=0.1, peak_rss_bytes=900 * MB),
-                }
-            )
-        ]
+        trace = rss_samples("node:mine[scale=3]", [500 * MB]) + rss_samples(
+            "node:other", [900 * MB], pid=5678
+        )
         result = _one(
             evaluate_objectives(
-                [Objective(name="rss", kind=KIND_PEAK_RSS, target="mine",
-                           threshold=256 * MB)],
-                perf_records=records,
+                [self.objective(target="node:mine")], trace_records=trace
             )
         )
         assert result.violated
         assert result.observed == 500 * MB  # 'other' excluded by target
 
-    def test_no_resource_fields_anywhere_is_no_data(self):
-        records = [perf_record({"T1": NodePerf(wall_seconds=0.1)})]
-        result = _one(
-            evaluate_objectives(
-                [Objective(name="rss", kind=KIND_PEAK_RSS, threshold=256 * MB)],
-                perf_records=records,
+    def test_default_target_takes_node_spans_resolved_by_id(self):
+        # Real traces tag samples with a span id; the span records name it.
+        trace = [
+            {"name": "study", "span_id": "r", "start": 0.0, "end": 9.0, "pid": 1},
+            {"name": "node:T1", "span_id": "n", "start": 1.0, "end": 2.0, "pid": 1},
+        ]
+        for t, span_id, rss in [(0.5, "r", 999 * MB), (1.5, "n", 50 * MB)]:
+            trace.append(
+                {"kind": "resource", "pid": 1, "t": t, "rss_bytes": rss,
+                 "cpu_seconds": t, "span_id": span_id}
             )
-        )
+        (objective,) = [
+            o for o in default_objectives() if o.kind == KIND_PEAK_RSS
+        ]
+        result = _one(evaluate_objectives([objective], trace_records=trace))
+        assert result.status == STATUS_OK
+        assert result.observed == 50 * MB
+        assert "node:T1" in result.detail
+
+    def test_no_resource_fields_anywhere_is_no_data(self):
+        trace = [{"name": "node:T1", "span_id": "n", "start": 0.0, "end": 1.0}]
+        result = _one(evaluate_objectives([self.objective()], trace_records=trace))
         assert result.status == STATUS_NO_DATA
 
 

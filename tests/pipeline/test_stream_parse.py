@@ -152,6 +152,18 @@ class TestStreamedEquivalence:
         assert streamed.mb_per_second > 0
         assert streamed.records_per_second > 0
 
+    def test_stream_span_carries_bytes_and_records(self, archive_files):
+        from repro import obs
+
+        fmt = format_for(Application.MYSQL)
+        path, _ = archive_files[Application.MYSQL]
+        sink = obs.MemorySink()
+        with obs.tracing(sink):
+            streamed = parse_archive_streamed(fmt, path, max_shard_bytes=64 << 10)
+        (record,) = [r for r in sink.records if r["name"] == "stream:parse:mysql"]
+        assert record["attrs"]["bytes"] == streamed.bytes_total > 0
+        assert record["attrs"]["records"] == streamed.record_count > 0
+
 
 class TestStreamedIndex:
     @pytest.mark.parametrize("workers", [1, 3])

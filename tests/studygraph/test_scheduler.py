@@ -12,18 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import traced_node_walls
 from repro.studygraph.artifact import DATA_TAG, canonical_json
 from repro.studygraph.context import StudyContext
 from repro.studygraph.diff import diff_caches
 from repro.studygraph.node import KIND_ARTIFACT, GridSpec, NodeSpec
 from repro.studygraph.registry import GraphError, Registry
 from repro.studygraph.scheduler import (
-    memo_walls,
     order_longest_first,
     run_single_node,
     run_study,
     study_status,
+    traced_node_walls,
 )
 
 
@@ -223,7 +222,7 @@ class TestLazyOutputs:
 
 
 class TestMemoReaders:
-    """status, perf record's memo walls and diff read one memo walk."""
+    """status and diff read one memo walk."""
 
     def test_readers_agree_after_one_meta_entry_is_lost(self, tmp_path):
         registry = toy_registry()
@@ -237,12 +236,11 @@ class TestMemoReaders:
             for row in study_status(_ctx(tmp_path), registry=registry)
         }
         cached = {name for name, state in states.items() if state == "cached"}
-        walls = memo_walls(_ctx(tmp_path), registry=registry)
         report = diff_caches(cache_dir, cache_dir, registry=registry)
         diff_states = {node.name: node.state for node in report.nodes}
         matched = {name for name, state in diff_states.items() if state == "match"}
 
-        assert cached == set(walls) == matched == {"root", "indep"}
+        assert cached == matched == {"root", "indep"}
         assert states["double"] == "missing"
         assert states["total"] == "unknown"
         assert diff_states["total"] == "absent"
@@ -310,17 +308,6 @@ class TestWallHelpers:
             "T1": pytest.approx(1.5),
             "F1": pytest.approx(0.25),
         }
-
-    def test_memo_walls_reports_memoized_nodes(self, tmp_path):
-        registry = toy_registry()
-        assert memo_walls(_ctx(tmp_path), registry=registry) == {}
-        run_study(_ctx(tmp_path), registry=registry)
-        walls = memo_walls(_ctx(tmp_path), registry=registry)
-        assert set(walls) == {"root", "double", "total", "indep"}
-        assert all(seconds >= 0.0 for seconds in walls.values())
-
-    def test_memo_walls_without_cache_is_empty(self):
-        assert memo_walls(_ctx(), registry=toy_registry()) == {}
 
 
 def _grid_point(ctx, inputs, params):
