@@ -931,60 +931,6 @@ def _cmd_serve_stop(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_slo_check(args: argparse.Namespace) -> int:
-    """``repro slo check``: judge declared objectives against artifacts."""
-    from repro.obs import slo
-
-    objectives = slo.default_objectives()
-    if args.slo_file:
-        try:
-            objectives = slo.load_objectives(args.slo_file)
-        except FileNotFoundError:
-            raise SystemExit(f"no objectives file at {args.slo_file!r}") from None
-        except ValueError as exc:
-            raise SystemExit(
-                f"bad objectives file {args.slo_file!r}: {exc}"
-            ) from None
-
-    exposition_text = None
-    if args.metrics:
-        try:
-            with open(args.metrics, "r", encoding="utf-8") as stream:
-                exposition_text = stream.read()
-        except FileNotFoundError:
-            raise SystemExit(f"no metrics exposition at {args.metrics!r}") from None
-
-    trace_records = None
-    if args.trace:
-        trace_records = _read_trace(args.trace)
-
-    try:
-        results = slo.evaluate_objectives(
-            objectives,
-            exposition_text=exposition_text,
-            trace_records=trace_records,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"slo check failed: {exc}") from None
-
-    violated = [r for r in results if r.violated]
-    no_data = sum(1 for r in results if r.status == slo.STATUS_NO_DATA)
-    print(
-        format_table(
-            ["objective", "kind", "status", "observed", "threshold", "detail"],
-            [r.row() for r in results],
-            title=(
-                f"SLO check: {len(results) - len(violated) - no_data} ok, "
-                f"{len(violated)} violated, {no_data} no-data"
-            ),
-        )
-    )
-    if violated and args.warn_only:
-        print("warn-only: violations reported but not failing the check")
-        return 0
-    return 1 if violated else 0
-
-
 def _cmd_serve_status(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.serve import (
@@ -1678,37 +1624,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the full JSON payload even when the node has rendered text",
     )
     serve_request.set_defaults(func=_cmd_serve_request)
-
-    slo = subparsers.add_parser(
-        "slo",
-        help="service-level objectives: judge latency/budget/resource "
-        "objectives against scraped metrics and traces",
-    )
-    slo_sub = slo.add_subparsers(dest="slo_command", required=True)
-
-    slo_check = slo_sub.add_parser(
-        "check",
-        help="evaluate objectives offline (exit 1 on violation; "
-        "objectives without evidence report no-data, not failure)",
-    )
-    slo_check.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="scraped text exposition ('repro serve status --metrics > FILE')",
-    )
-    slo_check.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="trace JSONL with resource samples (for peak-RSS and "
-        "RSS-growth objectives)",
-    )
-    slo_check.add_argument(
-        "--slo-file", default=None, metavar="FILE",
-        help="JSON list of objectives (default: the stock objective set)",
-    )
-    slo_check.add_argument(
-        "--warn-only", action="store_true",
-        help="report violations but always exit 0 (CI soak-in mode)",
-    )
-    slo_check.set_defaults(func=_cmd_slo_check)
 
     return parser
 

@@ -25,15 +25,12 @@ report into:
 * :mod:`~repro.obs.livestatus` -- atomic heartbeat snapshots and the
   ``repro study watch`` renderer for live run monitoring;
 * :mod:`~repro.obs.hist` -- the deterministic log-linear
-  :class:`Histogram` shared by the serve metrics exposition, the
-  closed-loop load generator, and the SLO checker, plus the
-  Prometheus-style text exposition reader/writer;
+  :class:`Histogram` shared by the serve metrics exposition and the
+  closed-loop load generator, plus the Prometheus-style text
+  exposition reader/writer;
 * :mod:`~repro.obs.resources` -- the background ``/proc`` resource
   sampler (:class:`ResourceSampler`) whose span-attributed RSS/CPU/IO
-  samples travel the same trace channel spans do;
-* :mod:`~repro.obs.slo` -- declarative service-level objectives
-  evaluated offline from exposition text and traces (``repro slo
-  check``).
+  samples travel the same trace channel spans do.
 
 **Zero overhead by default**: with no tracer installed, :func:`span`
 returns a shared no-op object and :func:`current_context` returns None;
@@ -72,19 +69,11 @@ from repro.obs.resources import (
     is_resource_record,
     proc_available,
     resource_records,
-    rss_series_by_span,
     sampling_enabled,
     usage_by_phase,
     usage_by_span_name,
 )
 from repro.obs.sinks import JsonlSink, MemorySink, NullSink, read_trace
-from repro.obs.slo import (
-    Objective,
-    SloResult,
-    default_objectives,
-    evaluate_objectives,
-    load_objectives,
-)
 from repro.obs.span import (
     Span,
     Tracer,
@@ -113,7 +102,6 @@ __all__ = [
     "MetricsRegistry",
     "NameStats",
     "NullSink",
-    "Objective",
     "ORPHAN_PHASE",
     "RESOURCE_KIND",
     "ResourceSample",
@@ -121,7 +109,6 @@ __all__ = [
     "ResourceUsage",
     "RunMonitor",
     "SelfTimeStats",
-    "SloResult",
     "Span",
     "TimerStats",
     "TraceSummary",
@@ -132,9 +119,7 @@ __all__ = [
     "capture",
     "chrome_trace",
     "current_context",
-    "default_objectives",
     "eta_seconds",
-    "evaluate_objectives",
     "exposition_buckets",
     "exposition_value",
     "healthz_view",
@@ -142,14 +127,12 @@ __all__ = [
     "ingest",
     "install",
     "is_resource_record",
-    "load_objectives",
     "parse_exposition",
     "proc_available",
     "read_snapshot",
     "read_trace",
     "render_watch_line",
     "resource_records",
-    "rss_series_by_span",
     "sampling_enabled",
     "span",
     "summarize_trace",

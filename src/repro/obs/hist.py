@@ -21,8 +21,8 @@ bucket* instead of disagreeing by interpolation scheme:
   recompute the same percentile a live :class:`Histogram` would return.
 
 Layering: pure stdlib, imports nothing from the rest of ``repro`` (the
-``repro.obs`` contract), so the serve daemon, the load generator, and
-the SLO checker can all share it.
+``repro.obs`` contract), so the serve daemon and the load generator
+can share it.
 """
 
 from __future__ import annotations

@@ -12,10 +12,9 @@ in the sampled process at that instant (via
 Sample records share the span-record transport end to end: a worker's
 sampler buffers records that ship back through the same
 ``UnitExecution`` channel spans use, the dispatcher ``ingest``\\ s them
-into the one trace sink, and trace consumers (``summarize_trace``
-and the SLO checker) fold them into per-span and per-phase
-peak-RSS and CPU attributions with the helpers at the bottom of this
-module.  Records without ``start``/``end`` keys are invisible to every
+into the one trace sink, and ``summarize_trace`` folds them into
+per-span and per-phase peak-RSS and CPU attributions with the helpers
+at the bottom of this module.  Records without ``start``/``end`` keys are invisible to every
 span-only consumer, so old tooling keeps working on new traces.
 
 **The sampler never fails a run.**  Every ``/proc`` read tolerates the
@@ -56,7 +55,6 @@ __all__ = [
     "proc_available",
     "read_resource_sample",
     "resource_records",
-    "rss_series_by_span",
     "sampling_enabled",
     "usage_by_phase",
     "usage_by_span_name",
@@ -537,26 +535,3 @@ def usage_by_phase(
     return _usage_rollup(
         records, lambda name: name.split(":", 1)[0] if name else name
     )
-
-
-def rss_series_by_span(
-    records: Iterable[Mapping[str, Any]],
-) -> dict[str, list[tuple[float, int]]]:
-    """Per-span-name time-ordered ``(t, rss_bytes)`` series.
-
-    The SLO checker's leak lens: a healthy span family's series is
-    flat-ish; a leaking one grows monotonically.
-    """
-    records = list(records)
-    names = _span_names(records)
-    series: dict[str, list[tuple[float, int]]] = {}
-    for sample in records:
-        if not is_resource_record(sample):
-            continue
-        key = _attributed_name(sample, names)
-        series.setdefault(key, []).append(
-            (float(sample.get("t", 0.0)), int(sample.get("rss_bytes", 0)))
-        )
-    for values in series.values():
-        values.sort(key=lambda item: item[0])
-    return series

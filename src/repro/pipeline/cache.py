@@ -139,7 +139,3 @@ class ParseMineCache:
             except OSError:
                 pass
         return removed
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss counters accumulated by this instance."""
-        return {"hits": self.hits, "misses": self.misses}

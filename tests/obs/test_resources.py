@@ -17,7 +17,6 @@ from repro.obs.resources import (
     proc_available,
     read_resource_sample,
     resource_records,
-    rss_series_by_span,
     usage_by_phase,
     usage_by_span_name,
 )
@@ -242,12 +241,6 @@ class TestRollups:
         ]
         usage = usage_by_span_name(records)
         assert usage["(unattributed)"].cpu_seconds == 0.0
-
-    def test_rss_series_by_span_sorted(self):
-        series = rss_series_by_span(_mixed_trace())
-        for values in series.values():
-            assert values == sorted(values)
-        assert [rss for _, rss in series["node:T1"]] == [100, 900, 300, 950]
 
     def test_resource_records_filter(self):
         trace = _mixed_trace()

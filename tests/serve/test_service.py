@@ -1,7 +1,9 @@
 """The transport-free service core: digest equality with the batch
 path, memoization, admission semantics, and concurrent mixed traffic."""
 
+import gc
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -14,6 +16,7 @@ from repro.serve.protocol import (
     STATUS_REJECTED_BUSY,
     STATUS_SHUTTING_DOWN,
     Request,
+    encode_line,
 )
 from repro.serve import service as service_module
 from repro.serve.service import StudyService, request_key
@@ -246,6 +249,41 @@ class TestMemoization:
         assert first.ok and second.ok
         counted = second.payload["requests"]["requests"]
         assert counted > first.payload["requests"]["requests"]
+
+
+class TestMemoryGrowth:
+    """Memo hits must not accumulate memory: the leak symptom generic
+    recovery depends on seeing, checked with traced allocations rather
+    than RSS or wall clock so it is deterministic."""
+
+    REQUESTS = 1000
+    #: Growth allowed from request N to request 2N.  A service that keeps
+    #: each reply grows by about 80 bytes per request (80 KB here); a
+    #: healthy one by well under 1 KB.
+    BOUND_BYTES = 16 * 1024
+
+    def test_memo_hits_do_not_grow_traced_memory(self, tmp_path):
+        service = StudyService(cache_dir=tmp_path, registry=blob_registry())
+        request = Request(kind="study", params={"node": "small"}, id="leak")
+
+        def send(count):
+            for _ in range(count):
+                line = encode_line(service.handle(request))
+            assert b'"status":"ok"' in line
+
+        send(2)  # the miss that computes and memoizes the reply
+        tracemalloc.start()
+        try:
+            send(self.REQUESTS)
+            gc.collect()
+            at_n = tracemalloc.get_traced_memory()[0]
+            send(self.REQUESTS)
+            gc.collect()
+            at_2n = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert service._counters["memo_hits"] == 2 * self.REQUESTS + 1
+        assert at_2n - at_n < self.BOUND_BYTES
 
 
 class TestErrors:

@@ -569,31 +569,6 @@ class TestTraceAndDiffCommands:
         assert "campaign" not in captured.err
 
 
-class TestSloCheckCommand:
-    """A bad ``--slo-file`` is a one-line error, not a traceback."""
-
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            (None, "no objectives file at"),
-            ('{"kind": "latency"}', "must be a JSON list"),
-            ('[{"kind": "throughput", "threshold": 1}]', "unknown objective kind"),
-            ("[3]", "objective 0 is not a JSON object"),
-            ('[{"kind": "latency", "threshold": null}]', "objective 0:"),
-        ],
-        ids=["missing", "non-list", "unknown-kind", "non-object", "null-threshold"],
-    )
-    def test_bad_slo_file_exits_with_a_message(self, tmp_path, content, message):
-        path = tmp_path / "slo.json"
-        if content is not None:
-            path.write_text(content, encoding="utf-8")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["slo", "check", "--slo-file", str(path)])
-        assert isinstance(excinfo.value.code, str)
-        assert message in excinfo.value.code
-        assert "\n" not in excinfo.value.code
-
-
 class TestPerfIntelligenceCommands:
     """Trace export, trace-backed reports, and live monitoring."""
 
@@ -655,6 +630,7 @@ class TestPerfIntelligenceCommands:
             ["study", "watch", "live.json", "--perfdb", "p.jsonl"],
             ["scenario", "run", "--perfdb", "p.jsonl"],
             ["slo", "check", "--db", "p.jsonl"],
+            ["slo", "check"],
         ],
     )
     def test_removed_options_are_rejected(self, capsys, argv):
@@ -662,14 +638,18 @@ class TestPerfIntelligenceCommands:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments" in err or "invalid choice: 'perf'" in err
+        assert (
+            "unrecognized arguments" in err
+            or "invalid choice: 'perf'" in err
+            or "invalid choice: 'slo'" in err
+        )
 
     def test_corrupt_lines_reported_only_when_present(self, capsys, tmp_path):
         """A torn line adds one notice per log read; nothing else moves."""
-        _, trace = self._traced_run(tmp_path, capsys)
+        cache, trace = self._traced_run(tmp_path, capsys)
         commands = [
             ["trace", "summary", trace],
-            ["slo", "check", "--trace", trace, "--warn-only"],
+            ["study", "status", "--cache-dir", cache, "--trace", trace],
         ]
         clean = []
         for argv in commands:
