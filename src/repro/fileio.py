@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 
 def append_line(path: str | os.PathLike[str], line: str) -> None:
@@ -57,18 +57,22 @@ def read_jsonl(path: str | os.PathLike[str]) -> tuple[list[dict[str, Any]], int]
     return records, skipped
 
 
-def atomic_write(path: str | os.PathLike[str], text: str) -> None:
+def atomic_write(path: str | os.PathLike[str], text: str | Iterable[str]) -> None:
     """Replace ``path`` with ``text`` via a unique temp file and one rename.
 
-    Readers see the old contents or the new, never a mix.  The parent is
-    created when missing; the file gets ``mkstemp``'s mode (0600).
+    ``text`` is one string or a sequence of pieces written in order
+    through the one text stream, so a large file made of pieces is never
+    joined into one copy first.  Readers see the old contents or the
+    new, never a mix.  The parent is created when missing; the file gets
+    ``mkstemp``'s mode (0600).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(text)
+            for piece in (text,) if isinstance(text, str) else text:
+                stream.write(piece)
         os.replace(temp_name, path)
     except BaseException:
         try:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from repro import fileio, obs
 
@@ -54,6 +54,18 @@ def archive_file_digest(path: str | Path, *, block_size: int = 1 << 20) -> str:
                 break
             digest.update(block)
     return digest.hexdigest()
+
+
+def _entry_prefix(digest: str, tag: str) -> str:
+    """Everything an entry file holds before its data's JSON.
+
+    An entry is ``{"cache_format":…,"digest":…,"tag":…,"data":<data>}``
+    in that key order; the data's JSON is followed only by ``}``.
+    """
+    return (
+        f'{{"cache_format":{CACHE_FORMAT_VERSION},"digest":{json.dumps(digest)},'
+        f'"tag":{json.dumps(tag)},"data":'
+    )
 
 
 class ParseMineCache:
@@ -96,18 +108,44 @@ class ParseMineCache:
             load_span.set(hit=True)
             return payload.get("data", {})
 
-    def store(self, digest: str, tag: str, data: dict[str, Any]) -> Path:
-        """Atomically write a payload for (digest, tag); returns its path."""
+    def load_encoded(self, digest: str, tag: str) -> memoryview | None:
+        """The stored JSON of (digest, tag)'s data, undecoded, or None on a miss.
+
+        Only the wrapper :meth:`store` writes around the data is checked
+        (its exact prefix for this digest and tag, and its closing
+        brace); the caller verifies the data bytes themselves.
+        """
+        prefix = _entry_prefix(digest, tag).encode("ascii")
+        with obs.span("cache:load", tag=tag) as load_span:
+            try:
+                with open(self._entry_path(digest, tag), "rb") as handle:
+                    head = handle.read(len(prefix))
+                    body = handle.read()
+            except OSError:
+                head = body = b""
+            if head != prefix or not body.endswith(b"}"):
+                self.misses += 1
+                load_span.set(hit=False)
+                return None
+            self.hits += 1
+            load_span.set(hit=True)
+            return memoryview(body)[:-1]
+
+    def store(
+        self, digest: str, tag: str, data: dict[str, Any] | Sequence[str]
+    ) -> Path:
+        """Atomically write a payload for (digest, tag); returns its path.
+
+        ``data`` is the payload, or its JSON already encoded as a
+        sequence of string pieces, which are written verbatim (and
+        never joined) inside the entry's wrapper.
+        """
         path = self._entry_path(digest, tag)
         with obs.span("cache:store", tag=tag):
-            payload = {
-                "cache_format": CACHE_FORMAT_VERSION,
-                "digest": digest,
-                "tag": tag,
-                "data": data,
-            }
-            # dumps, not dump: only dumps takes the C encoder.
-            fileio.atomic_write(path, json.dumps(payload, separators=(",", ":")))
+            if isinstance(data, Mapping):
+                # dumps, not dump: only dumps takes the C encoder.
+                data = (json.dumps(data, separators=(",", ":")),)
+            fileio.atomic_write(path, (_entry_prefix(digest, tag), *data, "}"))
             return path
 
     def entry_paths(self, digest: str | None = None) -> list[Path]:

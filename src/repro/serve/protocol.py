@@ -200,28 +200,41 @@ def encode_json(value: Any) -> bytes:
     return _ENCODER.encode(value).encode("ascii")
 
 
+def encode_object(members: Mapping[str, bytes], *, end: bytes = b"") -> bytes:
+    """A canonical JSON object built from already-encoded member values.
+
+    ``members`` maps each key to its value's canonical JSON (bytes or
+    any bytes-like view).  Keys sort as :func:`encode_json` sorts them,
+    so the result equals :func:`encode_json` of the decoded object; the
+    values are copied once, into the result, and ``end`` (a line's
+    terminator, say) is appended in the same join.
+    """
+    parts: list[Any] = []
+    for key in sorted(members):
+        parts += (b"," if parts else b"{", encode_json(key), b":", members[key])
+    parts.append(b"}" if parts else b"{}")
+    parts.append(end)
+    return b"".join(parts)
+
+
 def encode_line(message: Request | Response) -> bytes:
     """One message as a UTF-8 JSON line (terminator included).
 
-    A response carrying ``payload_json`` is not re-encoded: keys sort,
-    so its payload sits verbatim between ``"id"`` (and ``"error"``) and
-    ``"status"``, and the line is the encoded envelope with the payload
-    spliced in there.  No JSON string can contain ``,"status":`` (its
-    quotes are escaped), so the splice point is unambiguous.  An empty
-    payload is left out, as :meth:`Response.to_dict` leaves it out.
+    A response carrying ``payload_json`` is not re-encoded: its envelope
+    members are encoded and the payload's bytes are spliced in beside
+    them (:func:`encode_object`), so the line is byte-identical to
+    encoding the whole message.  An empty payload is left out, as
+    :meth:`Response.to_dict` leaves it out.
 
     Raises:
         ProtocolError: the encoded message exceeds :data:`MAX_LINE_BYTES`
             (a payload that large belongs in a file, not on the wire).
     """
     if isinstance(message, Response) and message.payload_json not in (None, b"{}"):
-        envelope = encode_json(
-            Response(message.id, message.status, error=message.error).to_dict()
-        )
-        cut = envelope.index(b',"status":')
-        line = b"".join(
-            (envelope[:cut], b',"payload":', message.payload_json, envelope[cut:], b"\n")
-        )
+        envelope = Response(message.id, message.status, error=message.error).to_dict()
+        members = {key: encode_json(value) for key, value in envelope.items()}
+        members["payload"] = message.payload_json
+        line = encode_object(members, end=b"\n")
     else:
         line = encode_json(message.to_dict()) + b"\n"
     if len(line) > MAX_LINE_BYTES:

@@ -15,9 +15,16 @@ result hot:
   and the study is immutable while serving, so an identical request is
   a dictionary hit -- this is what turns a warm daemon into thousands
   of requests per second.  Each entry keeps the reply payload's
-  canonical JSON, encoded once when the handler returned it; the
-  transport splices those bytes into every reply line, so a hit is
-  never re-encoded.
+  canonical JSON, built once for the first request; the transport
+  splices those bytes into every reply line, so a hit is never
+  re-encoded.
+
+A node reply is built without decoding the node's payload: the memo
+cache stores each payload as the canonical JSON its digest hashes, so
+once those bytes verify against the run's digest they are spliced into
+the reply as they are, with the ``"text"`` member sliced out of them.
+An entry that does not verify, or a service without a cache, takes the
+load-then-encode path, whose reply is byte-identical.
 
 A reply must fit the wire's line limit.  A node whose memo entry
 records a payload larger than the limit is refused before its payload
@@ -71,6 +78,7 @@ from repro.serve.protocol import (
     Request,
     Response,
     encode_json,
+    encode_object,
     ok_line_bytes,
 )
 
@@ -78,6 +86,10 @@ from repro.serve.protocol import (
 #: immutable warm state; ``trace-summary`` reads a file, ``status``,
 #: ``ping``, and ``metrics`` are live).
 MEMOIZED_KINDS = frozenset({KIND_STUDY, KIND_MINE, KIND_REPLAY})
+
+#: What a handler returns: the reply payload, or its canonical JSON
+#: when the handler built that itself.
+Reply = Mapping[str, Any] | bytes
 
 
 class ReplyTooLarge(ProtocolError):
@@ -265,7 +277,7 @@ class StudyService:
         self._sequence = 0
         self._started = time.monotonic()
         self.stats = RequestStats()
-        self._handlers: dict[str, Callable[[Request], dict[str, Any]]] = {
+        self._handlers: dict[str, Callable[[Request], Reply]] = {
             KIND_STUDY: self._handle_study,
             KIND_MINE: self._handle_mine,
             KIND_REPLAY: self._handle_replay,
@@ -307,7 +319,7 @@ class StudyService:
             }
 
     def register_handler(
-        self, kind: str, handler: Callable[[Request], dict[str, Any]]
+        self, kind: str, handler: Callable[[Request], Reply]
     ) -> None:
         """Install (or replace) the handler for one request kind.
 
@@ -328,10 +340,11 @@ class StudyService:
         Never raises for request-shaped problems: handler errors come
         back as ``status="error"`` responses, admission refusals as
         ``rejected-busy`` / ``shutting-down``.  The reply payload is
-        encoded here, once; one that cannot be encoded, or is too large
-        for the wire's line limit, is answered as an ``error``, so the
-        transport can always send the reply (node handlers refuse a
-        recorded oversize payload earlier, before loading it).
+        encoded once, here or by the node handler that splices it; one
+        that cannot be encoded, or is too large for the wire's line
+        limit, is answered as an ``error``, so the transport can always
+        send the reply (node handlers refuse a recorded oversize payload
+        earlier, before loading it).
 
         Every path -- success, error, refusal -- records exactly one
         observation in :attr:`stats` (latency, admission wait, response
@@ -414,7 +427,8 @@ class StudyService:
                     raise ReplyTooLarge(hit)
                 return hit, True
         try:
-            payload_json = encode_json(handler(request))
+            reply = handler(request)
+            payload_json = reply if isinstance(reply, bytes) else encode_json(reply)
             if len(payload_json) > MAX_LINE_BYTES:
                 raise ReplyTooLarge(
                     f"reply of {len(payload_json)} bytes is too large for the "
@@ -440,13 +454,15 @@ class StudyService:
         self,
         name: str,
         overrides: Mapping[str, Mapping[str, Any]] | None = None,
-    ) -> dict[str, Any]:
+    ) -> bytes:
         """One study-graph node over the warm state; the batch-CLI path.
 
         Per-request context over the *shared* study and cache: payload
         and digest are identical to ``repro study run --nodes`` / the
         classic single-node commands by the graph's equivalence
-        contract.
+        contract.  Returns the reply's canonical JSON, with the node's
+        verified memo-entry bytes spliced in as its payload (see the
+        module docstring).
 
         Raises:
             ReplyTooLarge: the node's recorded payload size already
@@ -455,7 +471,7 @@ class StudyService:
         """
         from repro.obs.metrics import MetricsRegistry
         from repro.studygraph.context import StudyContext
-        from repro.studygraph.scheduler import run_study
+        from repro.studygraph.scheduler import run_study, stored_payload_json
 
         self.warm()
         registry = self._registry
@@ -471,21 +487,31 @@ class StudyService:
         )
         result = run_study(context, nodes=[name], outputs=[name], registry=registry)
         run = result.runs[name]
-        if run.payload_bytes is not None and run.payload_bytes > MAX_LINE_BYTES:
+        if run.payload_bytes > MAX_LINE_BYTES:
             raise ReplyTooLarge(
                 f"reply of over {run.payload_bytes} bytes is too large for the "
                 f"{MAX_LINE_BYTES}-byte line limit"
             )
-        payload = result.outputs[name]
-        return {
-            "node": name,
-            "digest": run.digest,
-            "status": run.status,
-            "text": payload.get("text"),
-            "payload": payload,
-        }
+        payload_json = stored_payload_json(self._cache, run)
+        if payload_json is None:
+            payload = result.outputs[name]
+            payload_json = encode_json(payload)
+            text_json = encode_json(payload.get("text"))
+        elif run.text_span is None:
+            text_json = b"null"
+        else:
+            text_json = payload_json[run.text_span[0] : run.text_span[1]]
+        return encode_object(
+            {
+                "digest": encode_json(run.digest),
+                "node": encode_json(name),
+                "payload": payload_json,
+                "status": encode_json(run.status),
+                "text": text_json,
+            }
+        )
 
-    def _handle_study(self, request: Request) -> dict[str, Any]:
+    def _handle_study(self, request: Request) -> bytes:
         """``study``: params ``node`` (required), ``overrides`` (optional)."""
         node = request.params.get("node")
         if not node or not isinstance(node, str):
@@ -495,7 +521,7 @@ class StudyService:
             raise ValueError("study 'overrides' must be an object of objects")
         return self._run_node(node, overrides)
 
-    def _handle_mine(self, request: Request) -> dict[str, Any]:
+    def _handle_mine(self, request: Request) -> bytes:
         """``mine``: params ``application`` (required), ``scale`` (optional)."""
         from repro.bugdb.enums import Application
 
@@ -513,7 +539,7 @@ class StudyService:
             overrides = {f"parsed.{application.value}": {"scale": int(scale)}}
         return self._run_node(f"mine.{application.value}", overrides)
 
-    def _handle_replay(self, request: Request) -> dict[str, Any]:
+    def _handle_replay(self, request: Request) -> bytes:
         """``replay``: params ``techniques`` (optional comma list)."""
         from repro.recovery.nodes import TECHNIQUES, resolve_technique
 

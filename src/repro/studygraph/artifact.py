@@ -18,6 +18,7 @@ a caller reads them.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import enum
 import hashlib
@@ -66,25 +67,64 @@ def canonical_json(data: Any) -> str:
 _DIGEST_SLICE = 1 << 20
 
 
-def artifact_digest_size(payload: Any) -> tuple[str, int]:
-    """``(digest, size)`` of a payload's canonical JSON encoding.
+@dataclasses.dataclass(frozen=True)
+class EncodedArtifact:
+    """A payload's canonical JSON, and what is measured from that one encoding.
 
-    The digest is the SHA-256 hex of the encoding; the size is its
-    length in bytes, which ``ensure_ascii`` makes its length in
-    characters, so it costs nothing beyond the encoding the digest
-    needs.  The encoding is hashed in bounded slices rather than as one
-    bytes copy of the whole text (12 MB for the parsed MySQL archive).
+    Attributes:
+        pieces: the canonical JSON, in order; their concatenation is
+            :func:`canonical_json` of the payload.  They are kept apart
+            so that no joined copy of a large payload is ever built.
+        digest: SHA-256 hex of the encoding: the artifact's identity.
+        size: length of the encoding in bytes (``ensure_ascii`` makes
+            it its length in characters).
+        text_span: ``(start, end)`` offsets of the top-level ``"text"``
+            member's value inside the encoding, or None without one.
     """
-    text = canonical_json(payload)
+
+    pieces: tuple[str, ...]
+    digest: str
+    size: int
+    text_span: tuple[int, int] | None
+
+
+def encode_artifact(payload: Mapping[str, Any]) -> EncodedArtifact:
+    """Encode a node payload canonically, once.
+
+    The top-level members are encoded one at a time in sorted key
+    order, so the ``"text"`` value's offsets come from the same pass.
+    The pieces are hashed in bounded slices rather than as one bytes
+    copy of the whole text (12 MB for the parsed MySQL archive).
+
+    Raises:
+        TypeError: a top-level key is not a string (its canonical
+            encoding would depend on how it sorts among strings).
+    """
+    if not all(isinstance(key, str) for key in payload):
+        raise TypeError("payload keys must be strings")
+    pieces: list[str] = []
+    text_span = None
+    size = 0
     digest = hashlib.sha256()
-    for start in range(0, len(text), _DIGEST_SLICE):
-        digest.update(text[start : start + _DIGEST_SLICE].encode("ascii"))
-    return digest.hexdigest(), len(text)
+    for key in sorted(payload):
+        head = ("," if pieces else "{") + canonical_json(key) + ":"
+        value = canonical_json(payload[key])
+        if key == "text":
+            text_span = (size + len(head), size + len(head) + len(value))
+        for piece in (head, value):
+            for start in range(0, len(piece), _DIGEST_SLICE):
+                digest.update(piece[start : start + _DIGEST_SLICE].encode("ascii"))
+            size += len(piece)
+            pieces.append(piece)
+    tail = "}" if pieces else "{}"
+    digest.update(tail.encode("ascii"))
+    pieces.append(tail)
+    return EncodedArtifact(tuple(pieces), digest.hexdigest(), size + len(tail), text_span)
 
 
-def artifact_digest(payload: Any) -> str:
+def artifact_digest(payload: Mapping[str, Any]) -> str:
     """SHA-256 hex digest of a payload's canonical JSON encoding."""
-    return artifact_digest_size(payload)[0]
+    return encode_artifact(payload).digest
 
 
 class ArtifactStore:

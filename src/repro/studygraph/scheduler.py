@@ -17,8 +17,12 @@ experiment by default) plus their dependency closure:
    if a downstream miss needs it or a caller reads a requested output,
    so a fully warm re-run does no heavy deserialization at all.  The
    entry also records the payload's canonical-JSON size
-   (``payload_bytes``), so a caller can judge a payload's size before
-   loading it.  One check
+   (``payload_bytes``) and where its ``"text"`` member sits in it
+   (``text_span``), so a caller can judge a payload's size before
+   loading it.  The payload entry *is* that canonical JSON, written
+   verbatim by the node's runner from the one encoding its digest
+   hashes, so :func:`stored_payload_json` can hand out verified bytes
+   that are never decoded.  One check
    (:func:`_memo_meta`) decides whether a metadata entry is a hit, and
    ``study status`` and ``study diff`` read the same check through
    :func:`resolve_memo`.
@@ -32,6 +36,8 @@ derive from scheduling, and memo hits are content-addressed.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -47,7 +53,7 @@ from repro.studygraph.artifact import (
     META_TAG,
     ArtifactStore,
     OutputView,
-    artifact_digest_size,
+    encode_artifact,
 )
 from repro.studygraph.context import StudyContext
 from repro.studygraph.node import NodeSpec
@@ -57,7 +63,9 @@ from repro.studygraph.registry import GraphError, Registry, default_registry
 KIND_STUDYGRAPH = "studygraph"
 
 #: Memo payload format version (bump to invalidate every node entry).
-MEMO_VERSION = 1
+#: Version 2: the ``sgdata`` entry is the canonical payload JSON, and
+#: ``sgmeta`` requires ``payload_bytes`` and ``text_span``.
+MEMO_VERSION = 2
 
 STATUS_EXECUTED = "executed"
 STATUS_CACHED = "cached"
@@ -74,8 +82,9 @@ class NodeRun:
         key: the node's memo key for this run.
         wall_seconds: producer wall time (0.0 for memo hits).
         payload_bytes: length of the output's canonical JSON, measured
-            when the digest was computed and recorded in the memo entry
-            (None for a memo hit whose entry predates the field).
+            when the digest was computed and recorded in the memo entry.
+        text_span: ``(start, end)`` of the output's top-level ``"text"``
+            value inside that canonical JSON, or None without one.
     """
 
     name: str
@@ -83,7 +92,8 @@ class NodeRun:
     digest: str
     key: str
     wall_seconds: float
-    payload_bytes: int | None = None
+    payload_bytes: int
+    text_span: tuple[int, int] | None
 
 
 @dataclasses.dataclass
@@ -143,15 +153,19 @@ class _WaveContext:
     ctx: StudyContext
     nodes: dict[str, NodeSpec]
     inputs: dict[str, dict[str, Any]]
+    cache: ParseMineCache | None
 
 
 def _node_runner(unit: WorkUnit, wave: _WaveContext) -> dict[str, Any]:
-    """Execute one node inside a pool worker.
+    """Execute one node inside a pool worker and commit its memo entry.
 
-    The unit's ``fault_id`` carries the node name; inputs were
-    materialized by the parent before the fork.  The payload digest and
-    size are computed worker-side so the parent never re-encodes large
-    payloads.
+    The unit's ``fault_id`` carries the node name and its ``key`` param
+    the memo key; inputs were materialized by the parent before the
+    fork.  The payload is encoded once, worker-side: that encoding gives
+    the digest, size and text span, and is the ``sgdata`` entry written
+    verbatim, so the parent never re-encodes a large payload.  The
+    ``sgdata`` entry is written before the ``sgmeta`` entry that makes
+    it a hit.
     """
     node = wave.nodes[unit.fault_id]
     inputs = {dep: wave.inputs[dep] for dep in node.deps}
@@ -167,23 +181,60 @@ def _node_runner(unit: WorkUnit, wave: _WaveContext) -> dict[str, Any]:
     # fork).  None when sampling is off or the node outran the interval.
     sampler = obs_resources.active_sampler()
     peak_rss = sampler.peak_rss_since(started) if sampler is not None else None
-    digest, size = artifact_digest_size(payload)
+    encoded = encode_artifact(payload)
+    if wave.cache is not None:
+        key = unit.params_dict()["key"]
+        wave.cache.store(key, DATA_TAG, encoded.pieces)
+        meta_entry = {
+            "memo_version": MEMO_VERSION,
+            "node": node.name,
+            "digest": encoded.digest,
+            "payload_bytes": encoded.size,
+            "text_span": encoded.text_span,
+            "wall_seconds": round(wall, 6),
+            "cpu_seconds": round(cpu, 6),
+        }
+        if peak_rss is not None:
+            meta_entry["peak_rss_bytes"] = int(peak_rss)
+        wave.cache.store(key, META_TAG, meta_entry)
     return {
         "payload": payload,
-        "digest": digest,
-        "payload_bytes": size,
+        "digest": encoded.digest,
+        "payload_bytes": encoded.size,
+        "text_span": encoded.text_span,
         "wall_seconds": wall,
-        "cpu_seconds": cpu,
-        "peak_rss_bytes": peak_rss,
     }
+
+
+def stored_payload_json(
+    cache: ParseMineCache | None, run: NodeRun
+) -> memoryview | None:
+    """``run``'s payload as its ``sgdata`` entry holds it: canonical JSON.
+
+    None unless the entry verifies: its wrapper is intact, and the bytes
+    inside are ``run.payload_bytes`` long and hash to ``run.digest``.
+    Only verified bytes are ever decoded or sent, so an entry that has
+    vanished or rotted in any byte is a miss, never a wrong payload.
+    """
+    if cache is None:
+        return None
+    data = cache.load_encoded(run.key, DATA_TAG)
+    if (
+        data is None
+        or len(data) != run.payload_bytes
+        or hashlib.sha256(data).hexdigest() != run.digest
+    ):
+        return None
+    return data
 
 
 class _MemoStore(ArtifactStore):
     """An artifact store whose misses resolve through the memo cache.
 
-    If a cached node's data entry has vanished or rotted (the cache
-    treats corruption as a miss, never an error), the node is re-executed
-    inline from its own (recursively materialized) inputs.
+    A cached node's payload is decoded from its verified ``sgdata``
+    entry (:func:`stored_payload_json`).  If the entry has vanished or
+    rotted, the node is re-executed inline from its own (recursively
+    materialized) inputs.
     """
 
     def __init__(
@@ -197,10 +248,10 @@ class _MemoStore(ArtifactStore):
     def load(self, name: str) -> dict[str, Any]:
         run = self._runs.get(name)
         cache = self._context.cache
-        if run is not None and cache is not None:
-            entry = cache.load(run.key, DATA_TAG)
-            if entry is not None and "payload" in entry:
-                return entry["payload"]
+        if run is not None:
+            data = stored_payload_json(cache, run)
+            if data is not None:
+                return json.loads(str(data, "ascii"))
         node = self._registry.node(name)
         inputs = {dep: self.get(dep) for dep in node.deps}
         self._context.telemetry.count("studygraph.payload_rebuilds")
@@ -311,10 +362,11 @@ def run_study(
                         memo_span.set(hit=meta is not None)
                     if meta is not None:
                         digests[name] = meta["digest"]
+                        span = meta["text_span"]
                         runs[name] = NodeRun(
-                            name, STATUS_CACHED, meta["digest"], key,
-                            0.0,
-                            payload_bytes=meta.get("payload_bytes"),
+                            name, STATUS_CACHED, meta["digest"], key, 0.0,
+                            meta["payload_bytes"],
+                            tuple(span) if span is not None else None,
                         )
                         telemetry.count("studygraph.nodes.cached")
                         if monitor is not None:
@@ -337,6 +389,7 @@ def run_study(
                         ctx=_worker_context(context),
                         nodes=node_map,
                         inputs=store.subset(tuple(needed)),
+                        cache=cache,
                     )
                     units = [
                         WorkUnit.build(KIND_STUDYGRAPH, name, params={"key": key})
@@ -353,36 +406,16 @@ def run_study(
                     )
                     for unit, result in campaign.pairs():
                         name = unit.fault_id
-                        payload = result["payload"]
                         digest = result["digest"]
-                        store.put(name, payload)
+                        store.put(name, result["payload"])
                         digests[name] = digest
                         runs[name] = NodeRun(
                             name, STATUS_EXECUTED, digest, keys[name],
                             result["wall_seconds"],
-                            payload_bytes=result["payload_bytes"],
+                            result["payload_bytes"],
+                            result["text_span"],
                         )
                         telemetry.count("studygraph.nodes.executed")
-                        if cache is not None:
-                            cache.store(keys[name], DATA_TAG, {"payload": payload})
-                            meta_entry = {
-                                "memo_version": MEMO_VERSION,
-                                "node": name,
-                                "digest": digest,
-                                "payload_bytes": result["payload_bytes"],
-                                "wall_seconds": round(
-                                    result["wall_seconds"], 6
-                                ),
-                            }
-                            if result.get("cpu_seconds") is not None:
-                                meta_entry["cpu_seconds"] = round(
-                                    result["cpu_seconds"], 6
-                                )
-                            if result.get("peak_rss_bytes") is not None:
-                                meta_entry["peak_rss_bytes"] = int(
-                                    result["peak_rss_bytes"]
-                                )
-                            cache.store(keys[name], META_TAG, meta_entry)
 
             if progress is not None:
                 progress.update(len(digests))
@@ -450,15 +483,35 @@ def _memo_meta(
     """The memo metadata entry under ``key``, or None unless it is valid.
 
     The one memo-validity rule: an entry counts only when it carries the
-    current :data:`MEMO_VERSION` and an output digest.  Every reader of
-    ``sgmeta`` entries goes through here.
+    current :data:`MEMO_VERSION`, an output digest, the payload's size
+    and its text span (null, or offsets within that size).  Every
+    reader of ``sgmeta`` entries goes through here.
     """
     if cache is None:
         return None
     meta = cache.load(key, META_TAG)
-    if meta is None or meta.get("memo_version") != MEMO_VERSION or "digest" not in meta:
+    if (
+        meta is None
+        or meta.get("memo_version") != MEMO_VERSION
+        or "digest" not in meta
+        or not isinstance(meta.get("payload_bytes"), int)
+        or "text_span" not in meta
+        or not _valid_span(meta["text_span"], meta["payload_bytes"])
+    ):
         return None
     return meta
+
+
+def _valid_span(span: Any, size: int) -> bool:
+    """Whether ``span`` is null or ``[start, end]`` within ``size`` bytes."""
+    if span is None:
+        return True
+    return (
+        isinstance(span, list)
+        and len(span) == 2
+        and all(isinstance(offset, int) for offset in span)
+        and 0 <= span[0] <= span[1] <= size
+    )
 
 
 def resolve_memo(

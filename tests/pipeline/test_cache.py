@@ -55,6 +55,20 @@ class TestRoundTrip:
         expected = json.dumps(envelope, separators=(",", ":"))
         assert path.read_bytes() == expected.encode("utf-8")
 
+    def test_encoded_pieces_are_stored_verbatim(self, tmp_path):
+        cache = ParseMineCache(tmp_path)
+        digest = archive_digest("x")
+        data = {"b": [1, 2], "a": "caf\u00e9"}
+        pieces = ('{"a":"caf\\u00e9",', '"b":[1,2]', "}")
+        path = cache.store(digest, "sgdata", pieces)
+        assert cache.load(digest, "sgdata") == data
+        assert bytes(cache.load_encoded(digest, "sgdata")) == "".join(pieces).encode()
+        wrapper = '{"cache_format":%d,"digest":"%s","tag":"sgdata","data":' % (
+            CACHE_FORMAT_VERSION,
+            digest,
+        )
+        assert path.read_text(encoding="ascii") == wrapper + "".join(pieces) + "}"
+
     def test_store_leaves_no_temp_files(self, tmp_path):
         cache = ParseMineCache(tmp_path)
         cache.store(archive_digest("x"), "parse.mysql.v1", {})
@@ -85,6 +99,24 @@ class TestCorruptEntries:
         path = cache.store(digest, "parse.mysql.v1", {})
         path.write_text("[1, 2, 3]", encoding="utf-8")
         assert cache.load(digest, "parse.mysql.v1") is None
+
+
+class TestEncodedLoads:
+    def test_wrapper_damage_is_a_miss(self, tmp_path):
+        cache = ParseMineCache(tmp_path)
+        digest = archive_digest("x")
+        path = cache.store(digest, "sgdata", {"n": 1})
+        assert bytes(cache.load_encoded(digest, "sgdata")) == b'{"n":1}'
+        assert cache.load_encoded(digest, "sgmeta") is None
+        assert cache.load_encoded(archive_digest("y"), "sgdata") is None
+        raw = path.read_bytes()
+        for damaged in (raw.replace(b'"tag"', b'"tog"'), raw[:-3], b""):
+            path.write_bytes(damaged)
+            assert cache.load_encoded(digest, "sgdata") is None
+        # The data inside an intact wrapper is not checked here.
+        path.write_bytes(raw.replace(b'"n":1', b'"n":?'))
+        assert bytes(cache.load_encoded(digest, "sgdata")) == b'{"n":?}'
+        assert (cache.hits, cache.misses) == (2, 5)
 
 
 class TestCounters:

@@ -16,6 +16,7 @@ from repro.serve.protocol import (
     decode_response,
     encode_json,
     encode_line,
+    encode_object,
     ok_line_bytes,
 )
 
@@ -109,6 +110,24 @@ def canonical_line(response):
     """The reference encoding: the whole message dict, dumped once."""
     text = json.dumps(response.to_dict(), sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8") + b"\n"
+
+
+class TestEncodeObject:
+    """Members encoded apart join into the object's canonical JSON."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            {"b": 1, "a": [None, 2.5], "caf\u00e9": {"x": "\u2603"}},
+            {"text": "t", "payload": {"text": "nested"}, "A": 0, "_": True},
+        ],
+    )
+    def test_equals_encoding_the_whole_object(self, value):
+        members = {key: encode_json(item) for key, item in value.items()}
+        assert encode_object(members) == encode_json(value)
+        views = {key: memoryview(item) for key, item in members.items()}
+        assert encode_object(views, end=b"\n") == encode_json(value) + b"\n"
 
 
 class TestPreEncodedPayload:

@@ -110,19 +110,24 @@ def small_limit(monkeypatch):
 
 
 def _data_loads(monkeypatch):
-    """Spy on memo-cache reads; returns the list of ``sgdata`` loads."""
+    """Spy on memo-cache reads; returns the list of ``sgdata`` reads.
+
+    Payload entries are read undecoded (``load_encoded``); a decoding
+    ``load`` of one is recorded too, so the list counts every read.
+    """
     from repro.pipeline.cache import ParseMineCache
     from repro.studygraph.artifact import DATA_TAG
 
     loads = []
-    original = ParseMineCache.load
+    for method in ("load", "load_encoded"):
+        original = getattr(ParseMineCache, method)
 
-    def spy(self, key, tag):
-        if tag == DATA_TAG:
-            loads.append(key)
-        return original(self, key, tag)
+        def spy(self, key, tag, original=original, method=method):
+            if tag == DATA_TAG:
+                loads.append((method, key))
+            return original(self, key, tag)
 
-    monkeypatch.setattr(ParseMineCache, "load", spy)
+        monkeypatch.setattr(ParseMineCache, method, spy)
     return loads
 
 
@@ -150,16 +155,17 @@ class TestOversizeReplies:
         assert warm._counters["memo_hits"] == 1
         assert all(isinstance(entry, str) for entry in warm._memo.values())
         assert warm.handle(Request(kind="study", params={"node": "small"})).ok
-        assert len(loads) == 1
+        # The one read is of the raw entry, never a decoding load.
+        assert [method for method, _ in loads] == ["load_encoded"]
 
-    def test_entry_without_recorded_size_takes_the_reply_check(
+    def test_entry_without_recorded_size_runs_again_and_is_refused(
         self, tmp_path, small_limit, monkeypatch
     ):
         import json
 
         cold = StudyService(cache_dir=tmp_path, registry=blob_registry())
         cold.handle(Request(kind="study", params={"node": "big"}))
-        # Strip the field, as an entry written by older code lacks it.
+        # Strip the field: an entry without it is not a valid memo entry.
         for path in tmp_path.rglob("*.sgmeta.json"):
             entry = json.loads(path.read_text(encoding="utf-8"))
             del entry["data"]["payload_bytes"]
@@ -171,30 +177,43 @@ class TestOversizeReplies:
             response = warm.handle(Request(kind="study", params={"node": "big"}))
             assert response.status == STATUS_ERROR
             assert "too large" in response.error
-        # Loaded once to size it; the memo keeps the refusal, not the
-        # payload, so the repeat is a hit that loads nothing.
-        assert len(loads) == 1
+            assert "line limit" in response.error
+        # The miss ran the node again, which recorded its size afresh;
+        # the refusal came from that size, so no payload was read.
+        (path,) = tmp_path.rglob("*.sgmeta.json")
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert entry["data"]["payload_bytes"] > 2000
+        assert loads == []
         assert warm._counters["memo_hits"] == 1
         assert all(isinstance(entry, str) for entry in warm._memo.values())
 
     def test_memo_hit_is_not_sized_again(self, tmp_path, monkeypatch):
-        encoded = []
-        original = service_module.encode_json
+        from repro.serve.protocol import encode_json
 
-        def spy(payload):
-            encoded.append(payload)
-            return original(payload)
+        built = []
+        original = service_module.encode_object
 
-        monkeypatch.setattr(service_module, "encode_json", spy)
+        def spy(members, **kwargs):
+            built.append(sorted(members))
+            return original(members, **kwargs)
+
+        monkeypatch.setattr(service_module, "encode_object", spy)
+        StudyService(cache_dir=tmp_path, registry=blob_registry()).handle(
+            Request(kind="study", params={"node": "small"})
+        )
+        loads = _data_loads(monkeypatch)
         service = StudyService(cache_dir=tmp_path, registry=blob_registry())
+        built.clear()
         replies = [
             service.handle(Request(kind="study", params={"node": "small"}))
             for _ in range(3)
         ]
         assert all(reply.ok for reply in replies)
         assert service._counters["memo_hits"] == 2
-        assert len(encoded) == 1
-        size = len(original(replies[0].payload))
+        # One raw read and one reply build, by the first request only.
+        assert [method for method, _ in loads] == ["load_encoded"]
+        assert len(built) == 1
+        size = len(encode_json(replies[0].payload))
         text = service.handle(Request(kind="metrics")).payload["text"]
         assert f'repro_response_bytes_total{{kind="study"}} {3 * size}' in text
 
@@ -208,6 +227,107 @@ class TestOversizeReplies:
             "bytes",
             "str",
         ]
+
+
+def _records(ctx, inputs, params):
+    records = [{"id": index, "ok": index % 3 == 0} for index in range(params["count"])]
+    return {"records": records, "text": f"{len(records)} records"}
+
+
+def records_registry():
+    from repro.studygraph.node import NodeSpec
+    from repro.studygraph.registry import Registry
+
+    return Registry(
+        [
+            NodeSpec.build("records", _records, params={"count": 50_000}),
+            NodeSpec.build("few", _records, params={"count": 3}),
+        ]
+    )
+
+
+class TestSplicedReplies:
+    """A cached node's reply carries its verified memo-entry bytes."""
+
+    @staticmethod
+    def _line(cache_dir, node):
+        service = StudyService(cache_dir=cache_dir, registry=records_registry())
+        return encode_line(
+            service.handle(Request(kind="study", params={"node": node}, id="r"))
+        )
+
+    def test_spliced_reply_equals_the_encoded_reply(self, tmp_path):
+        import hashlib
+        import json
+
+        from repro.serve.protocol import encode_json
+
+        self._line(tmp_path, "few")  # fills the cache
+        line = self._line(tmp_path, "few")
+        reply = json.loads(line)["payload"]
+        assert line == encode_json(json.loads(line)) + b"\n"
+        assert reply["status"] == "cached"
+        assert reply["text"] == reply["payload"]["text"] == "3 records"
+        assert reply["digest"] == hashlib.sha256(encode_json(reply["payload"])).hexdigest()
+        assert line == self._line(None, "few").replace(b'"executed"', b'"cached"')
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["prefix-byte", "payload-digit", "payload-text", "closing-brace", "truncated"],
+    )
+    def test_a_damaged_entry_gives_the_identical_reply(self, tmp_path, damage):
+        import json
+
+        self._line(tmp_path, "few")
+        expected = self._line(tmp_path, "few")
+        (path,) = [
+            path for path in tmp_path.rglob("*.sgdata.json")
+            if b'"3 records"' in path.read_bytes()
+        ]
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del raw[len(raw) // 2 :]
+        else:
+            at = {
+                "prefix-byte": raw.index(b'"data"') + 2,
+                "payload-digit": raw.index(b'"id":1') + len(b'"id":'),
+                "payload-text": raw.index(b"3 records") + 2,
+                "closing-brace": len(raw) - 1,
+            }[damage]
+            raw[at] = ord("9") if damage == "payload-digit" else ord("q")
+        path.write_bytes(bytes(raw))
+        line = self._line(tmp_path, "few")
+        assert json.loads(line)["status"] == "ok"
+        assert line == expected
+
+    #: Peak traced allocation while serving a cached node, as a multiple
+    #: of its payload size: the raw entry read and the reply built from
+    #: it, plus the line it is spliced into.  Decoding the payload (and
+    #: encoding it again) costs an order of magnitude more.
+    PEAK_MULTIPLE = 4
+
+    def test_serving_a_cached_node_never_decodes_its_payload(self, tmp_path):
+        import json
+
+        self._line(tmp_path, "records")
+        service = StudyService(cache_dir=tmp_path, registry=records_registry())
+        service.warm()
+        request = Request(kind="study", params={"node": "records"}, id="r")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            line = encode_line(service.handle(request))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (meta,) = [
+            path for path in tmp_path.rglob("*.sgmeta.json")
+            if b'"node":"records"' in path.read_bytes()
+        ]
+        payload_bytes = json.loads(meta.read_text())["data"]["payload_bytes"]
+        assert 900_000 < payload_bytes < 1_300_000
+        assert len(line) > payload_bytes
+        assert peak < self.PEAK_MULTIPLE * payload_bytes
 
 
 class TestGridFamilies:

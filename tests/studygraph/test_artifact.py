@@ -9,8 +9,8 @@ from repro.studygraph.artifact import (
     ArtifactStore,
     OutputView,
     artifact_digest,
-    artifact_digest_size,
     canonical_json,
+    encode_artifact,
     jsonable,
 )
 
@@ -68,10 +68,57 @@ class TestArtifactDigest:
 
     def test_size_is_the_canonical_encoding_length(self):
         payload = {"s": "café ☃", "n": [1, 2.5, None]}
-        digest, size = artifact_digest_size(payload)
-        assert digest == artifact_digest(payload)
-        assert size == len(canonical_json(payload))
-        assert size == len(canonical_json(payload).encode("utf-8"))
+        encoded = encode_artifact(payload)
+        assert encoded.digest == artifact_digest(payload)
+        assert encoded.size == len(canonical_json(payload))
+        assert encoded.size == len(canonical_json(payload).encode("utf-8"))
+
+
+class TestEncodeArtifact:
+    """One encoding gives the canonical text, its digest, size and text span."""
+
+    PAYLOADS = [
+        {},
+        {"text": "plain"},
+        # A nested "text" key under an earlier top-level key.
+        {"a": {"text": "nested"}, "b": [{"text": 1}], "text": "top", "z": 2},
+        # Non-ASCII text escapes to several ASCII characters each.
+        {"rows": ["café"], "text": "naïve ☃ – résumé\n", "title": "x"},
+        # No "text" at all, but keys sorting around where it would be.
+        {"tex": 1, "texts": {"text": "inner"}, "u": None},
+        {"text": None, "n": 2.5},
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_pieces_join_to_the_canonical_encoding(self, payload):
+        import hashlib
+
+        encoded = encode_artifact(payload)
+        text = "".join(encoded.pieces)
+        assert text == canonical_json(payload)
+        assert encoded.size == len(text)
+        assert encoded.digest == hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_text_span_slices_out_the_text_value(self, payload):
+        from repro.serve.protocol import encode_json
+
+        encoded = encode_artifact(payload)
+        text = "".join(encoded.pieces)
+        if "text" not in payload:
+            assert encoded.text_span is None
+        else:
+            start, end = encoded.text_span
+            assert text[start:end].encode("ascii") == encode_json(payload["text"])
+
+    def test_large_member_is_not_joined_with_the_rest(self):
+        payload = {"blob": "x" * (3 << 20), "text": "t"}
+        encoded = encode_artifact(payload)
+        assert max(len(piece) for piece in encoded.pieces) == len('"' + payload["blob"] + '"')
+
+    def test_non_string_keys_are_rejected(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            encode_artifact({1: "a"})
 
 
 class RecordingStore(ArtifactStore):

@@ -173,18 +173,97 @@ class TestPayloadBytes:
             assert cold.runs[name].payload_bytes == size
             assert warm.runs[name].payload_bytes == size
 
-    def test_entry_without_the_field_gives_none(self, tmp_path):
-        context = _ctx(tmp_path)
-        cold = run_study(context, registry=toy_registry())
-        key = cold.runs["total"].key
+    @staticmethod
+    def _strip_meta_field(context, key, field):
         path = Path(context.cache.root) / key[:2] / f"{key}.sgmeta.json"
         entry = json.loads(path.read_text(encoding="utf-8"))
-        del entry["data"]["payload_bytes"]
+        del entry["data"][field]
         path.write_text(json.dumps(entry), encoding="utf-8")
+
+    def test_entry_without_the_field_is_a_miss(self, tmp_path):
+        context = _ctx(tmp_path)
+        cold = run_study(context, registry=toy_registry())
+        self._strip_meta_field(context, cold.runs["total"].key, "payload_bytes")
         warm = run_study(_ctx(tmp_path), registry=toy_registry())
-        assert warm.runs["total"].status == "cached"
-        assert warm.runs["total"].payload_bytes is None
-        assert warm.runs["root"].payload_bytes is not None
+        assert warm.runs["total"].status == "executed"
+        assert warm.runs["root"].status == "cached"
+        assert warm.runs["total"].payload_bytes == cold.runs["total"].payload_bytes
+        again = run_study(_ctx(tmp_path), registry=toy_registry())
+        assert again.runs["total"].status == "cached"
+
+    def test_entry_without_a_text_span_is_a_miss(self, tmp_path):
+        context = _ctx(tmp_path)
+        cold = run_study(context, registry=toy_registry())
+        self._strip_meta_field(context, cold.runs["total"].key, "text_span")
+        warm = run_study(_ctx(tmp_path), registry=toy_registry())
+        assert warm.runs["total"].status == "executed"
+        assert warm.runs["total"].text_span == cold.runs["total"].text_span
+
+
+def _entry_payload_bytes(context, run):
+    """The bytes an ``sgdata`` entry holds inside the cache's wrapper."""
+    raw = _data_path(context, run.key).read_bytes()
+    prefix = (
+        '{"cache_format":1,"digest":"%s","tag":"sgdata","data":' % run.key
+    ).encode("ascii")
+    assert raw.startswith(prefix) and raw.endswith(b"}")
+    return raw[len(prefix) : -1]
+
+
+class TestStoredPayload:
+    """The ``sgdata`` entry is the canonical JSON the digest hashes."""
+
+    def _assert_entries_verify(self, context, result):
+        import hashlib
+
+        from repro.serve.protocol import encode_json
+
+        for name, run in result.runs.items():
+            data = _entry_payload_bytes(context, run)
+            assert hashlib.sha256(data).hexdigest() == run.digest, name
+            assert len(data) == run.payload_bytes, name
+            assert data == canonical_json(result.outputs[name]).encode("ascii"), name
+            if run.text_span is None:
+                assert "text" not in result.outputs[name], name
+            else:
+                start, end = run.text_span
+                assert data[start:end] == encode_json(result.outputs[name]["text"])
+
+    def test_every_toy_entry_hashes_to_its_digest(self, tmp_path):
+        context = _ctx(tmp_path)
+        every = ["root", "double", "total", "indep"]
+        result = run_study(context, outputs=every, registry=toy_registry())
+        self._assert_entries_verify(context, result)
+
+    def test_every_entry_of_t1s_closure_hashes_to_its_digest(self, tmp_path):
+        from repro.studygraph.registry import default_registry
+
+        registry = default_registry()
+        context = _ctx(tmp_path)
+        cold = run_study(context, nodes=["T1"], registry=registry)
+        result = run_study(
+            _ctx(tmp_path), nodes=["T1"], outputs=list(cold.runs), registry=registry
+        )
+        assert result.executed == 0 and len(result.runs) > 1
+        self._assert_entries_verify(context, result)
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_a_damaged_entry_is_rebuilt_not_decoded(self, tmp_path, damage):
+        context = _ctx(tmp_path)
+        cold = run_study(context, registry=toy_registry())
+        path = _data_path(context, cold.runs["total"].key)
+        raw = bytearray(path.read_bytes())
+        if damage == "flip":
+            # A digit inside the payload: the entry still decodes as JSON.
+            at = raw.index(b'"total":') + len(b'"total":')
+            raw[at] = ord("8")
+        else:
+            del raw[-5:]
+        path.write_bytes(bytes(raw))
+        warm_context = _ctx(tmp_path)
+        warm = run_study(warm_context, outputs=["total"], registry=toy_registry())
+        assert warm.outputs["total"] == cold.outputs["total"]
+        assert warm_context.telemetry.counter("studygraph.payload_rebuilds") == 1
 
 
 class TestLazyOutputs:
@@ -192,13 +271,20 @@ class TestLazyOutputs:
         cold = run_study(_ctx(tmp_path), registry=toy_registry())
         context = _ctx(tmp_path)
         loads = []
-        original = context.cache.load
 
-        def spy(key, tag):
-            loads.append(tag)
-            return original(key, tag)
+        def spy(method):
+            original = getattr(context.cache, method)
 
-        monkeypatch.setattr(context.cache, "load", spy)
+            def spied(key, tag):
+                loads.append(tag)
+                return original(key, tag)
+
+            monkeypatch.setattr(context.cache, method, spied)
+
+        # Metadata is decoded through ``load``; payload entries are read
+        # undecoded through ``load_encoded`` and verified before use.
+        spy("load")
+        spy("load_encoded")
         warm = run_study(context, outputs=["total"], registry=toy_registry())
         assert warm.cached == 4
         assert DATA_TAG not in loads

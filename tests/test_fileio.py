@@ -66,6 +66,14 @@ class TestAtomicWrite:
         assert path.read_text(encoding="utf-8") == "second"
         assert os.listdir(path.parent) == ["state.json"]
 
+    def test_pieces_are_written_in_order(self, tmp_path):
+        path = tmp_path / "entry.json"
+        pieces = ['{"data":', '"caf\u00e9"', "}"]
+        fileio.atomic_write(path, iter(pieces))
+        assert path.read_text(encoding="utf-8") == "".join(pieces)
+        fileio.atomic_write(path, ())
+        assert path.read_bytes() == b""
+
     def test_failure_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "state.json"
         fileio.atomic_write(path, "kept")
