@@ -35,7 +35,9 @@ Every classic experiment command (``table``, ``figure``, ``aggregate``,
 ``mine <app>``, ``replay``, ``report``, ``catalog``, ``funnel``) is a
 single-node invocation of the study graph: the command resolves its
 registered node, applies flag overrides, and prints the node's rendered
-text.  ``repro study run`` executes the same graph wholesale.
+text.  Their parsers and their one handler are generated from the
+command table in :mod:`repro.commands`, the one place a classic command
+is added.  ``repro study run`` executes the same graph wholesale.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.bugdb.enums import Application
 from repro.recovery.nodes import TECHNIQUES as _TECHNIQUES, resolve_technique
@@ -53,52 +55,25 @@ from repro.rng import DEFAULT_SEED as _CAMPAIGN_DEFAULT_SEED
 #: Default memo directory for ``repro study`` (gitignored).
 DEFAULT_STUDY_CACHE = ".repro-study-cache"
 
-_TABLE_NODES = {"apache": "T1", "gnome": "T2", "mysql": "T3"}
-_FIGURE_NODES = {"apache": "F1", "gnome": "F2", "mysql": "F3"}
-
 
 def _application(name: str) -> Application:
+    from repro.commands import application
+
     try:
-        return Application(name.lower())
-    except ValueError:
-        raise SystemExit(
-            f"unknown application {name!r}; choose from "
-            + ", ".join(app.value for app in Application)
-        ) from None
+        return application(name)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
 
 
-def _node_text(name: str, overrides: Mapping[str, Mapping[str, Any]] | None = None) -> str:
-    """Run one study-graph node serially and return its rendered text."""
+def _cmd_classic(args: argparse.Namespace) -> int:
+    """Every classic command: print its node's text, flags applied."""
+    command = args.classic
+    app = _application(args.application) if command.per_application else None
+    node, overrides = command.resolve(app, vars(args))
+
     from repro.studygraph import run_single_node
 
-    return run_single_node(name, overrides=overrides)["text"]
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    application = _application(args.application)
-    print(_node_text(_TABLE_NODES[application.value]))
-    return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    application = _application(args.application)
-    node = _FIGURE_NODES[application.value]
-    params: dict[str, Any] = {"width": args.width}
-    if application is Application.GNOME:
-        params["granularity"] = args.granularity
-    print(_node_text(node, overrides={node: params}))
-    return 0
-
-
-def _cmd_aggregate(_args: argparse.Namespace) -> int:
-    print(_node_text("A1"))
-    return 0
-
-
-def _cmd_mine_app(args: argparse.Namespace) -> int:
-    application = _application(args.application)
-    overrides = {f"parsed.{application.value}": {"scale": args.scale}}
-    print(_node_text(f"mine.{application.value}", overrides=overrides))
+    print(run_single_node(node, overrides=overrides)["text"])
     return 0
 
 
@@ -220,12 +195,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown index action {args.index_action!r}")
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    names = args.technique or list(_TECHNIQUES)
-    print(_node_text("E1", overrides={"E1": {"techniques": ",".join(names)}}))
-    return 0
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.corpus.loader import full_study
     from repro.harness import ProgressReporter, load_journal
@@ -334,26 +303,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    overrides = {
-        "report": {"format": args.format, "with_replay": bool(args.with_replay)}
-    }
-    print(_node_text("report", overrides=overrides))
-    return 0
-
-
-def _cmd_catalog(_args: argparse.Namespace) -> int:
-    print(_node_text("catalog"))
-    return 0
-
-
-def _cmd_funnel(args: argparse.Namespace) -> int:
-    application = _application(args.application)
-    overrides = {f"parsed.{application.value}": {"scale": args.scale}}
-    print(_node_text(f"funnel.{application.value}", overrides=overrides))
-    return 0
-
-
 def _cmd_csv(args: argparse.Namespace) -> int:
     from repro.analysis.distributions import study_figure_series
     from repro.analysis.tables import classification_table
@@ -373,13 +322,13 @@ def _cmd_csv(args: argparse.Namespace) -> int:
 
 def _cmd_export_archive(args: argparse.Namespace) -> int:
     from repro.corpus.loader import full_study
+    from repro.fileio import atomic_write
     from repro.pipeline.formats import format_for
 
     application = _application(args.application)
     corpus = full_study().corpus(application)
     text = format_for(application).render(corpus, args.scale)
-    with open(args.path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    atomic_write(args.path, text)
     print(f"wrote {len(text)} bytes to {args.path}")
     return 0
 
@@ -407,11 +356,12 @@ def _split_node_list(value: str) -> list[str]:
 
 
 def _study_nodes(args: argparse.Namespace) -> list[str] | None:
-    """Flatten repeatable, comma-separated ``--nodes`` values."""
-    if not args.nodes:
-        return None
+    """Flatten repeatable, comma-separated ``--nodes`` values.
+
+    Without ``--nodes``, the command's ``default_nodes`` apply, if any.
+    """
     names: list[str] = []
-    for value in args.nodes:
+    for value in args.nodes or [getattr(args, "default_nodes", "")]:
         names.extend(_split_node_list(value))
     return names or None
 
@@ -713,26 +663,9 @@ def _cmd_study_status(args: argparse.Namespace) -> int:
 
 #: Targets `repro scenario run|status` default to: the pair-interaction
 #: sweep (its closure pulls in the baseline and every pair point) plus
-#: the temporal-clustering experiment.
+#: the temporal-clustering experiment.  Otherwise they are `study
+#: run|status`: same engine, same flags.
 _SCENARIO_DEFAULT_NODES = "scenario.pairs,scenario.temporal"
-
-
-def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    """``repro scenario run``: ``study run`` scoped to the scenario nodes.
-
-    Same engine, same flags -- memoized waves, tracing, live snapshots --
-    just targeted at ``scenario.*`` unless ``--nodes`` says otherwise.
-    """
-    if not args.nodes:
-        args.nodes = [_SCENARIO_DEFAULT_NODES]
-    return _cmd_study_run(args)
-
-
-def _cmd_scenario_status(args: argparse.Namespace) -> int:
-    """``repro scenario status``: memo state of the scenario closure."""
-    if not args.nodes:
-        args.nodes = [_SCENARIO_DEFAULT_NODES]
-    return _cmd_study_status(args)
 
 
 def _cmd_scenario_matrix(args: argparse.Namespace) -> int:
@@ -862,7 +795,6 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
     # Detach: re-exec ourselves with --foreground in a new session so the
     # daemon survives this shell, then block until it answers a ping.
     import subprocess
-    from pathlib import Path
 
     log_path = Path(args.log) if args.log else Path(str(args.socket) + ".log")
     command = [
@@ -917,8 +849,6 @@ def _cmd_serve_stop(args: argparse.Namespace) -> int:
             f"stale pidfile {pid_path}: no process {pid} (removed)"
         ) from None
     deadline = time.monotonic() + args.timeout
-    from pathlib import Path
-
     socket_path = Path(args.socket)
     while time.monotonic() < deadline:
         if not socket_path.exists():
@@ -1077,43 +1007,105 @@ def _serve_burst(args: argparse.Namespace, params: dict[str, Any]) -> int:
     return 0 if result.failures == 0 else 1
 
 
+_RESTRICT_NODES_HELP = "restrict to these nodes plus dependencies (repeatable)"
+_SCENARIO_NODES_HELP = "override the default scenario targets (repeatable)"
+
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser, *, workers_help: str, nodes_help: str, grids_help: str
+) -> None:
+    """The flags ``study run`` and ``scenario run`` share."""
+    parser.add_argument("--workers", type=int, default=1, help=workers_help)
+    parser.add_argument(
+        "--nodes", action="append", default=None, metavar="NAME[,NAME...]",
+        help=nodes_help,
+    )
+    parser.add_argument(
+        "--show", default=None, metavar="NODE",
+        help="print one node's rendered text after the run summary",
+    )
+    parser.add_argument(
+        "--cache-dir", default=DEFAULT_STUDY_CACHE,
+        help="node memo directory (warm reruns resolve from it)",
+    )
+    parser.add_argument("--no-cache", action="store_true", help="disable memoization entirely")
+    parser.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="record a span trace to this JSONL file (see 'repro trace')",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true",
+        help="suppress progress output (auto-suppressed when stderr is not a TTY)",
+    )
+    parser.add_argument(
+        "--live", default=None, metavar="PATH",
+        help="write an atomic live-status snapshot here (see 'repro study watch')",
+    )
+    parser.add_argument("--expand-grids", action="store_true", help=grids_help)
+
+
+def _add_status_flags(
+    parser: argparse.ArgumentParser, *, nodes_help: str, grids_help: str
+) -> None:
+    """The flags ``study status`` and ``scenario status`` share."""
+    parser.add_argument(
+        "--nodes", action="append", default=None, metavar="NAME[,NAME...]",
+        help=nodes_help,
+    )
+    parser.add_argument(
+        "--cache-dir", default=DEFAULT_STUDY_CACHE,
+        help="node memo directory to inspect",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="report against a disabled cache (every node shows missing)",
+    )
+    parser.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="join per-node wall time from this trace into the table",
+    )
+    parser.add_argument("--expand-grids", action="store_true", help=grids_help)
+
+
+def _add_classic(subparsers: Any, command: Any) -> None:
+    """Add a classic command's parser, or one per application, from its entry."""
+    if command.subcommands:
+        parsers = []
+        for app in Application:
+            parser = subparsers.add_parser(
+                app.value, help=command.help.format(app=app.display_name)
+            )
+            parser.set_defaults(application=app.value)
+            parsers.append(parser)
+    else:
+        parser = subparsers.add_parser(command.name, help=command.help)
+        if command.per_application:
+            parser.add_argument("application", help="apache | gnome | mysql")
+        parsers = [parser]
+    for parser in parsers:
+        for flag in command.flags:
+            parser.add_argument(flag.name, dest=flag.param, **flag.options)
+        parser.set_defaults(func=_cmd_classic, classic=command)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.commands import COMMANDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Whither Generic Recovery from Application Faults?' (DSN 2000)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    table = subparsers.add_parser("table", help="print Table 1/2/3 for an application")
-    table.add_argument("application", help="apache | gnome | mysql")
-    table.set_defaults(func=_cmd_table)
-
-    figure = subparsers.add_parser("figure", help="print Figure 1/2/3 for an application")
-    figure.add_argument("application", help="apache | gnome | mysql")
-    figure.add_argument("--width", type=int, default=40, help="bar width in characters")
-    figure.add_argument(
-        "--granularity", choices=("month", "quarter"), default="month",
-        help="time bucketing for GNOME",
-    )
-    figure.set_defaults(func=_cmd_figure)
-
-    aggregate = subparsers.add_parser("aggregate", help="print the Section 5.4 numbers")
-    aggregate.set_defaults(func=_cmd_aggregate)
+    for name in ("table", "figure", "aggregate"):
+        _add_classic(subparsers, COMMANDS[name])
 
     mine = subparsers.add_parser(
         "mine", help="run the mining pipeline on a generated archive"
     )
     mine_sub = mine.add_subparsers(dest="mine_command", required=True)
-    for app in Application:
-        mine_app = mine_sub.add_parser(
-            app.value, help=f"mine the generated {app.display_name} archive"
-        )
-        mine_app.add_argument(
-            "--scale", type=int, default=None,
-            help="raw archive size (defaults to the paper's full scale)",
-        )
-        mine_app.set_defaults(func=_cmd_mine_app, application=app.value)
+    _add_classic(mine_sub, COMMANDS["mine"])
     mine_run = mine_sub.add_parser(
         "run", help="fast archive path: parallel sharded parse + mine"
     )
@@ -1180,12 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_compact.set_defaults(func=_cmd_index)
 
-    replay = subparsers.add_parser("replay", help="replay all faults under recovery techniques")
-    replay.add_argument(
-        "--technique", action="append", choices=sorted(_TECHNIQUES),
-        help="technique to replay (repeatable; default: all)",
-    )
-    replay.set_defaults(func=_cmd_replay)
+    _add_classic(subparsers, COMMANDS["replay"])
 
     campaign = subparsers.add_parser(
         "campaign",
@@ -1223,28 +1210,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.set_defaults(func=_cmd_campaign)
 
-    report = subparsers.add_parser("report", help="print the full study report")
-    report.add_argument(
-        "--with-replay", action="store_true",
-        help="include the recovery replay (slower)",
-    )
-    report.add_argument(
-        "--format", choices=("text", "markdown"), default="text",
-        help="output format",
-    )
-    report.set_defaults(func=_cmd_report)
-
-    catalog = subparsers.add_parser(
-        "catalog", help="print the 139-fault catalog as markdown"
-    )
-    catalog.set_defaults(func=_cmd_catalog)
-
-    funnel = subparsers.add_parser(
-        "funnel", help="print the mining narrowing funnel for an application"
-    )
-    funnel.add_argument("application", help="apache | gnome | mysql")
-    funnel.add_argument("--scale", type=int, default=None, help="raw archive size")
-    funnel.set_defaults(func=_cmd_funnel)
+    for name in ("report", "catalog", "funnel"):
+        _add_classic(subparsers, COMMANDS[name])
 
     csv_command = subparsers.add_parser("csv", help="emit a table or figure as CSV")
     csv_command.add_argument("kind", choices=("table", "figure"))
@@ -1267,41 +1234,12 @@ def build_parser() -> argparse.ArgumentParser:
     study_run = study_sub.add_parser(
         "run", help="run every experiment node (parallel, memoized, resumable)"
     )
-    study_run.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (outputs are identical for any count)",
-    )
-    study_run.add_argument(
-        "--nodes", action="append", default=None, metavar="NAME[,NAME...]",
-        help="run only these nodes plus dependencies (repeatable)",
-    )
-    study_run.add_argument(
-        "--show", default=None, metavar="NODE",
-        help="print one node's rendered text after the run summary",
-    )
-    study_run.add_argument(
-        "--cache-dir", default=DEFAULT_STUDY_CACHE,
-        help="node memo directory (warm reruns resolve from it)",
-    )
-    study_run.add_argument(
-        "--no-cache", action="store_true",
-        help="disable memoization entirely",
-    )
-    study_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a span trace to this JSONL file (see 'repro trace')",
-    )
-    study_run.add_argument(
-        "--quiet", action="store_true",
-        help="suppress progress output (auto-suppressed when stderr is not a TTY)",
-    )
-    study_run.add_argument(
-        "--live", default=None, metavar="PATH",
-        help="write an atomic live-status snapshot here (see 'repro study watch')",
-    )
-    study_run.add_argument(
-        "--expand-grids", action="store_true",
-        help="list every grid point in the summary instead of one row per family",
+    _add_run_flags(
+        study_run,
+        workers_help="worker processes (outputs are identical for any count)",
+        nodes_help="run only these nodes plus dependencies (repeatable)",
+        grids_help="list every grid point in the summary instead of one row "
+        "per family",
     )
     study_run.add_argument(
         "--sample-resources", nargs="?", type=float, default=None,
@@ -1337,25 +1275,10 @@ def build_parser() -> argparse.ArgumentParser:
     study_status_cmd = study_sub.add_parser(
         "status", help="per-node memo state (nothing is executed)"
     )
-    study_status_cmd.add_argument(
-        "--nodes", action="append", default=None, metavar="NAME[,NAME...]",
-        help="restrict to these nodes plus dependencies (repeatable)",
-    )
-    study_status_cmd.add_argument(
-        "--cache-dir", default=DEFAULT_STUDY_CACHE,
-        help="node memo directory to inspect",
-    )
-    study_status_cmd.add_argument(
-        "--no-cache", action="store_true",
-        help="report against a disabled cache (every node shows missing)",
-    )
-    study_status_cmd.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="join per-node wall time from this trace into the table",
-    )
-    study_status_cmd.add_argument(
-        "--expand-grids", action="store_true",
-        help="list every grid point instead of one row per family",
+    _add_status_flags(
+        study_status_cmd,
+        nodes_help=_RESTRICT_NODES_HELP,
+        grids_help="list every grid point instead of one row per family",
     )
     study_status_cmd.set_defaults(func=_cmd_study_status)
 
@@ -1375,7 +1298,7 @@ def build_parser() -> argparse.ArgumentParser:
     study_diff_cmd.add_argument("cache_b", help="candidate memo directory")
     study_diff_cmd.add_argument(
         "--nodes", action="append", default=None, metavar="NAME[,NAME...]",
-        help="restrict to these nodes plus dependencies (repeatable)",
+        help=_RESTRICT_NODES_HELP,
     )
     study_diff_cmd.set_defaults(func=_cmd_study_diff)
 
@@ -1389,68 +1312,26 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run the scenario sweep (scenario.pairs + scenario.temporal)",
     )
-    scenario_run.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (the matrix is identical for any count)",
+    _add_run_flags(
+        scenario_run,
+        workers_help="worker processes (the matrix is identical for any count)",
+        nodes_help=_SCENARIO_NODES_HELP,
+        grids_help="list every pair point in the summary instead of one "
+        "family row",
     )
-    scenario_run.add_argument(
-        "--nodes", action="append", default=None, metavar="NAME[,NAME...]",
-        help="override the default scenario targets (repeatable)",
-    )
-    scenario_run.add_argument(
-        "--show", default=None, metavar="NODE",
-        help="print one node's rendered text after the run summary",
-    )
-    scenario_run.add_argument(
-        "--cache-dir", default=DEFAULT_STUDY_CACHE,
-        help="node memo directory (warm reruns resolve from it)",
-    )
-    scenario_run.add_argument(
-        "--no-cache", action="store_true",
-        help="disable memoization entirely",
-    )
-    scenario_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a span trace to this JSONL file (see 'repro trace')",
-    )
-    scenario_run.add_argument(
-        "--quiet", action="store_true",
-        help="suppress progress output (auto-suppressed when stderr is not a TTY)",
-    )
-    scenario_run.add_argument(
-        "--live", default=None, metavar="PATH",
-        help="write an atomic live-status snapshot here (see 'repro study watch')",
-    )
-    scenario_run.add_argument(
-        "--expand-grids", action="store_true",
-        help="list every pair point in the summary instead of one family row",
-    )
-    scenario_run.set_defaults(func=_cmd_scenario_run)
+    scenario_run.set_defaults(func=_cmd_study_run, default_nodes=_SCENARIO_DEFAULT_NODES)
 
     scenario_status_cmd = scenario_sub.add_parser(
         "status", help="memo state of the scenario closure (nothing executed)"
     )
-    scenario_status_cmd.add_argument(
-        "--nodes", action="append", default=None, metavar="NAME[,NAME...]",
-        help="override the default scenario targets (repeatable)",
+    _add_status_flags(
+        scenario_status_cmd,
+        nodes_help=_SCENARIO_NODES_HELP,
+        grids_help="list every pair point instead of one family row",
     )
-    scenario_status_cmd.add_argument(
-        "--cache-dir", default=DEFAULT_STUDY_CACHE,
-        help="node memo directory to inspect",
+    scenario_status_cmd.set_defaults(
+        func=_cmd_study_status, default_nodes=_SCENARIO_DEFAULT_NODES
     )
-    scenario_status_cmd.add_argument(
-        "--no-cache", action="store_true",
-        help="report against a disabled cache (every node shows missing)",
-    )
-    scenario_status_cmd.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="join per-node wall time from this trace into the table",
-    )
-    scenario_status_cmd.add_argument(
-        "--expand-grids", action="store_true",
-        help="list every pair point instead of one family row",
-    )
-    scenario_status_cmd.set_defaults(func=_cmd_scenario_status)
 
     scenario_matrix_cmd = scenario_sub.add_parser(
         "matrix",

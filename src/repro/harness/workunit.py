@@ -24,24 +24,23 @@ import json
 from typing import Any, Mapping
 
 #: JSON-scalar types allowed as parameter values (keeps keys canonical).
-_SCALARS = (str, int, float, bool, type(None))
+JSON_SCALARS = (str, int, float, bool, type(None))
 
 #: The canonical encoding content keys hash, built once: ``json.dumps``
 #: with non-default options builds a new encoder on every call.
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _canonical_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
-    """Sort and validate parameter overrides into a hashable tuple."""
+def canonical_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
+    """Sort and validate work-unit or node parameters into a hashable tuple."""
     if not params:
         return ()
     items = []
     for name in sorted(params):
         value = params[name]
-        if not isinstance(value, _SCALARS):
+        if not isinstance(value, JSON_SCALARS):
             raise TypeError(
-                f"work-unit parameter {name!r} must be a JSON scalar, "
-                f"got {type(value).__name__}"
+                f"parameter {name!r} must be a JSON scalar, got {type(value).__name__}"
             )
         items.append((name, value))
     return tuple(items)
@@ -83,7 +82,7 @@ class WorkUnit:
             kind=kind,
             fault_id=fault_id,
             technique=technique,
-            params=_canonical_params(params),
+            params=canonical_params(params),
             seed=seed,
         )
 

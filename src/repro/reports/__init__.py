@@ -4,11 +4,7 @@ from repro.reports.tableformat import format_table, render_classification_table
 from repro.reports.figures import render_figure
 from repro.reports.markdown import markdown_table, markdown_classification_table
 from repro.reports.studyreport import render_study_report
-from repro.reports.csvexport import (
-    classification_table_csv,
-    figure_series_csv,
-    write_csv,
-)
+from repro.reports.csvexport import classification_table_csv, figure_series_csv
 
 __all__ = [
     "classification_table_csv",
@@ -19,5 +15,4 @@ __all__ = [
     "render_classification_table",
     "render_figure",
     "render_study_report",
-    "write_csv",
 ]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
 
 from repro.analysis.distributions import FigureSeries
 from repro.analysis.tables import ClassificationTable
@@ -37,8 +36,3 @@ def figure_series_csv(series: FigureSeries) -> str:
             + [series.total(index), f"{series.env_independent_fraction(index):.4f}"]
         )
     return buffer.getvalue()
-
-
-def write_csv(text: str, path: str | Path) -> None:
-    """Write CSV text to a file."""
-    Path(path).write_text(text, encoding="utf-8")

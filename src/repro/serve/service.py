@@ -523,36 +523,27 @@ class StudyService:
 
     def _handle_mine(self, request: Request) -> bytes:
         """``mine``: params ``application`` (required), ``scale`` (optional)."""
-        from repro.bugdb.enums import Application
+        from repro.commands import COMMANDS, application
 
-        name = request.params.get("application")
-        try:
-            application = Application(str(name).lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown application {name!r}; choose from "
-                + ", ".join(app.value for app in Application)
-            ) from None
+        app = application(request.params.get("application"))
         scale = request.params.get("scale")
-        overrides = None
-        if scale is not None:
-            overrides = {f"parsed.{application.value}": {"scale": int(scale)}}
-        return self._run_node(f"mine.{application.value}", overrides)
+        values = {"scale": None if scale is None else int(scale)}
+        return self._run_node(*COMMANDS["mine"].resolve(app, values))
 
     def _handle_replay(self, request: Request) -> bytes:
         """``replay``: params ``techniques`` (optional comma list)."""
-        from repro.recovery.nodes import TECHNIQUES, resolve_technique
+        from repro.commands import COMMANDS
+        from repro.recovery.nodes import resolve_technique
 
         techniques = request.params.get("techniques")
-        if techniques is None:
-            names = list(TECHNIQUES)
-        elif isinstance(techniques, str):
+        names = None
+        if techniques is not None:
+            if not isinstance(techniques, str):
+                raise ValueError("replay 'techniques' must be a comma-joined string")
             names = [part for part in techniques.split(",") if part]
-        else:
-            raise ValueError("replay 'techniques' must be a comma-joined string")
-        for tech in names:
-            resolve_technique(tech)
-        return self._run_node("E1", {"E1": {"techniques": ",".join(names)}})
+            for name in names:
+                resolve_technique(name)
+        return self._run_node(*COMMANDS["replay"].resolve(None, {"techniques": names}))
 
     def _handle_trace_summary(self, request: Request) -> dict[str, Any]:
         """``trace-summary``: params ``path`` (required), ``top`` (optional)."""

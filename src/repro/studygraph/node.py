@@ -19,6 +19,7 @@ import hashlib
 import itertools
 from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
+from repro.harness.workunit import JSON_SCALARS, canonical_params
 from repro.studygraph.artifact import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,24 +33,6 @@ Producer = Callable[["StudyContext", Mapping[str, Any], Mapping[str, Any]], dict
 #: artifacts are intermediate data (corpora, parsed archives, mined sets).
 KIND_EXPERIMENT = "experiment"
 KIND_ARTIFACT = "artifact"
-
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def _canonical_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
-    """Sort and validate node parameters into a hashable tuple."""
-    if not params:
-        return ()
-    items = []
-    for name in sorted(params):
-        value = params[name]
-        if not isinstance(value, _SCALARS):
-            raise TypeError(
-                f"node parameter {name!r} must be a JSON scalar, "
-                f"got {type(value).__name__}"
-            )
-        items.append((name, value))
-    return tuple(items)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,7 +81,7 @@ class NodeSpec:
             name=name,
             producer=producer,
             deps=tuple(deps),
-            params=_canonical_params(params),
+            params=canonical_params(params),
             version=version,
             kind=kind,
             title=title,
@@ -120,7 +103,7 @@ class NodeSpec:
             if key not in current:
                 raise KeyError(f"node {self.name!r} has no parameter {key!r}")
         current.update(overrides)
-        return dataclasses.replace(self, params=_canonical_params(current))
+        return dataclasses.replace(self, params=canonical_params(current))
 
     def cache_digest(self, input_digests: Mapping[str, str]) -> str:
         """The content-addressed memo key for this node.
@@ -260,7 +243,7 @@ class GridSpec:
                 raise ValueError(f"grid {name!r} axis {axis!r} has no values")
             seen: set[Any] = set()
             for value in values:
-                if not isinstance(value, _SCALARS):
+                if not isinstance(value, JSON_SCALARS):
                     raise TypeError(
                         f"grid {name!r} axis {axis!r} value must be a JSON "
                         f"scalar, got {type(value).__name__}"

@@ -30,6 +30,7 @@ from __future__ import annotations
 from repro.analysis import nodes as analysis_nodes
 from repro.bugdb.enums import Application
 from repro.classify import nodes as classify_nodes
+from repro.commands import FIGURE_NODES, TABLE_NODES
 from repro.corpus import nodes as corpus_nodes
 from repro.mining import nodes as mining_nodes
 from repro.recovery import nodes as recovery_nodes
@@ -51,8 +52,6 @@ KEYWORD_SUBSETS = {
 
 _APPS = (Application.APACHE, Application.GNOME, Application.MYSQL)
 _CORPUS_DEPS = tuple(f"corpus.{app.value}" for app in _APPS)
-_TABLE_NODES = {Application.APACHE: "T1", Application.GNOME: "T2", Application.MYSQL: "T3"}
-_FIGURE_NODES = {Application.APACHE: "F1", Application.GNOME: "F2", Application.MYSQL: "F3"}
 
 
 def build_registry() -> Registry:
@@ -113,7 +112,7 @@ def build_registry() -> Registry:
     for app in _APPS:
         registry.register(
             NodeSpec.build(
-                _TABLE_NODES[app],
+                TABLE_NODES[app],
                 analysis_nodes.table_text,
                 deps=(f"corpus.{app.value}",),
                 params={"application": app.value},
@@ -126,7 +125,7 @@ def build_registry() -> Registry:
             params["granularity"] = "month"
         registry.register(
             NodeSpec.build(
-                _FIGURE_NODES[app],
+                FIGURE_NODES[app],
                 analysis_nodes.figure_text,
                 deps=(f"corpus.{app.value}",),
                 params=params,

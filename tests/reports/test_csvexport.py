@@ -5,11 +5,7 @@ import io
 
 from repro.analysis.distributions import release_distribution
 from repro.analysis.tables import classification_table
-from repro.reports.csvexport import (
-    classification_table_csv,
-    figure_series_csv,
-    write_csv,
-)
+from repro.reports.csvexport import classification_table_csv, figure_series_csv
 
 
 class TestClassificationTableCsv:
@@ -50,9 +46,3 @@ class TestFigureSeriesCsv:
         for row in rows:
             assert 0.0 <= float(row[-1]) <= 1.0
 
-
-class TestWriteCsv:
-    def test_writes_file(self, tmp_path, apache):
-        path = tmp_path / "table.csv"
-        write_csv(classification_table_csv(classification_table(apache)), path)
-        assert path.read_text().startswith("application,class,faults")

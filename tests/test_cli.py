@@ -99,6 +99,20 @@ class TestExportCommand:
 
         assert len(mbox.parse_archive(path.read_text())) >= 600
 
+    def test_export_replaces_the_file_atomically(self, capsys, tmp_path):
+        from repro.bugdb import gnats
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        path = out_dir / "apache.gnats"
+        path.write_text("~previous~" * 100_000, encoding="utf-8")
+        assert main(["export-archive", "apache", str(path), "--scale", "120"]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert capsys.readouterr().out == f"wrote {len(text)} bytes to {path}\n"
+        assert "~previous~" not in text
+        assert len(gnats.parse_archive(text)) == 120
+        assert [p.name for p in out_dir.iterdir()] == ["apache.gnats"]
+
 
 class TestCsvCommand:
     def test_table_csv(self, capsys):
